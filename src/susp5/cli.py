@@ -34,6 +34,7 @@ from susp5.decompose import (
     suspension_decomposition,
 )
 from susp5.invariants import (
+    BalanceError,
     hurewicz_cohomotopy,
     k_closed_form,
     k_group,
@@ -413,11 +414,11 @@ def build_report(desc, mode="single", run_checks=True, inject_fault=False):
 
     try:
         k_comp, k_ok = k_group(desc), True
-    except AssertionError:
+    except BalanceError:
         k_comp, k_ok = None, False
     try:
         ko_comp, ko_ok = ko_group(desc), True
-    except AssertionError:
+    except BalanceError:
         ko_comp, ko_ok = None, False
     p3 = pi3(desc)
     cross = pi4_sigma_crosscheck(desc) if single is not None else None

@@ -163,8 +163,8 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
 
 
 def _case_pieces(desc: ManifoldDescriptor):
-    """Top piece of the suspension wedge plus the adjustments it causes:
-    returns (top complex, extra index dropped from the Moore part,
+    """Top piece of the suspension wedge plus the adjustments it causes to
+    W5: returns (top complex, extra index dropped from the Moore part,
     consumed indices still carrying a two-stage piece, sphere deltas)."""
     exps = desc.two_primary_exponents
     kind = desc.case.kind
@@ -193,22 +193,27 @@ def _case_pieces(desc: ManifoldDescriptor):
     return top, extra_drop, chang_indices, d3, d4
 
 
-def _single_parts(desc: ManifoldDescriptor) -> list[ElementaryComplex]:
-    top, extra_drop, chang_indices, d3, d4 = _case_pieces(desc)
+def _section_parts(desc, extra_drop, chang_indices, d3, d4) -> list[ElementaryComplex]:
+    """The summands of W5, changed by the case adjustments of _case_pieces:
+    d3 and d4 more three- and four-spheres, one more Moore summand dropped,
+    and C_r pieces on chang_indices only."""
     exps = desc.two_primary_exponents
     H = desc.h1_torsion
-    parts: list[ElementaryComplex] = []
-    parts += [sphere(2)] * desc.l
-    parts += [sphere(3)] * (desc.d - desc.c1 + d3)
-    parts += [sphere(4)] * (desc.d + d4)
-    parts += [sphere(5)] * (desc.l - desc.c1 - desc.c2)
-    parts += peterson(3, H)
-    parts += peterson(4, desc.remaining_torsion(extra_drop))
-    parts += peterson(5, H)
-    parts += [chang_eta(5) for _ in range(desc.c1)]
-    parts += [chang_r(5, exps[j]) for j in chang_indices]
-    parts.append(top)
-    return parts
+    return (
+        [sphere(3)] * (desc.d - desc.c1 + d3)
+        + [sphere(4)] * (desc.d + d4)
+        + [sphere(5)] * (desc.l - desc.c1 - desc.c2)
+        + peterson(3, H)
+        + peterson(4, desc.remaining_torsion(extra_drop))
+        + peterson(5, H)
+        + [chang_eta(5)] * desc.c1
+        + [chang_r(5, exps[j]) for j in chang_indices]
+    )
+
+
+def _single_parts(desc: ManifoldDescriptor) -> list[ElementaryComplex]:
+    top, *adjustments = _case_pieces(desc)
+    return [sphere(2)] * desc.l + _section_parts(desc, *adjustments) + [top]
 
 
 def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
@@ -230,11 +235,6 @@ def double_suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
     return wedge(*[p.suspend() for p in _single_parts(desc)])
 
 
-def suspend_wedge(w: Wedge) -> Wedge:
-    """Suspend a wedge summand-wise."""
-    return w.suspend()
-
-
 def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:
     """The k-th homology section of the suspended reduced part, k in 3..5.
 
@@ -242,31 +242,14 @@ def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:
     five-connected-in-homology remainder; the sections truncate that
     remainder at homological degree k.
     """
-    H, T = desc.h1_torsion, desc.h2_torsion
-    exps = desc.two_primary_exponents
-    if k == 3:
-        parts = [sphere(3)] * desc.d + peterson(3, H) + peterson(4, T)
-    elif k == 4:
-        parts = (
-            [sphere(3)] * desc.d
-            + [sphere(4)] * desc.d
-            + peterson(3, H)
-            + peterson(4, T)
-            + peterson(5, H)
-        )
-    elif k == 5:
-        parts = (
-            [sphere(3)] * (desc.d - desc.c1)
-            + [sphere(4)] * desc.d
-            + [sphere(5)] * (desc.l - desc.c1 - desc.c2)
-            + peterson(3, H)
-            + peterson(4, desc.remaining_torsion())
-            + peterson(5, H)
-            + [chang_eta(5) for _ in range(desc.c1)]
-            + [chang_r(5, exps[j]) for j in desc.consumed]
-        )
-    else:
+    if k == 5:
+        return wedge(*_section_parts(desc, None, desc.consumed, 0, 0))
+    if k not in (3, 4):
         raise DecompositionError("homology sections are defined for k in 3..5")
+    H = desc.h1_torsion
+    parts = [sphere(3)] * desc.d + peterson(3, H) + peterson(4, desc.h2_torsion)
+    if k == 4:
+        parts += [sphere(4)] * desc.d + peterson(5, H)
     return wedge(*parts)
 
 

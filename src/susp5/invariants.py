@@ -39,6 +39,10 @@ class UnsupportedSummand(LookupError):
     """The requested invariant table has no entry for this complex."""
 
 
+class BalanceError(ArithmeticError):
+    """A group assembled from the summand tables disagrees with its closed form."""
+
+
 _Z = FgAbGroup.free(1)
 _Z2 = FgAbGroup.cyclic(2)
 _0 = FgAbGroup.trivial()
@@ -186,14 +190,16 @@ def _assemble(summands, table) -> GroupComputation:
 def k_group(desc: ManifoldDescriptor) -> GroupComputation:
     """Reduced complex K-theory of the five-complex."""
     comp = _assemble(double_suspension_decomposition(desc).summands, k_of_summand)
-    assert comp.group == k_closed_form(desc), "complex K-theory table out of balance"
+    if comp.group != k_closed_form(desc):
+        raise BalanceError("complex K-theory table out of balance")
     return comp
 
 
 def ko_group(desc: ManifoldDescriptor) -> GroupComputation:
     """Reduced real K-theory of the five-complex."""
     comp = _assemble(double_suspension_decomposition(desc).summands, ko_of_summand)
-    assert comp.group == ko_closed_form(desc), "real K-theory table out of balance"
+    if comp.group != ko_closed_form(desc):
+        raise BalanceError("real K-theory table out of balance")
     return comp
 
 

@@ -1,72 +1,63 @@
 """Elementary complexes and wedge sums.
 
 These are the indecomposable pieces that show up when a suspended 5-manifold
-splits: spheres, prime-power Moore spaces, the four two-stage complexes built
+splits: spheres, prime-power Moore spaces, the two two-stage complexes built
 from a single Hopf-map attachment, and the hybrid pieces obtained by gluing
 one extra top cell along a lifted Hopf map, its inclusion into a two-stage
 complex, or a squared Hopf map.
 
-Every variant records its cell dimensions and reduced homology in closed
-form.  Moore spaces of composite order do not exist as single variants here;
-the factories split them into prime-power wedge summands immediately, which
-keeps wedge normal forms unique.
+Each variant is one `_Variant` record; cells, homology, weight and rendering
+are all read off it.  Moore spaces of composite order do not exist as single
+variants here; the factories split them into prime-power wedge summands
+immediately, which keeps wedge normal forms unique.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
-from susp5.abgroup import FgAbGroup, direct_sum
+from susp5.abgroup import FgAbGroup, _prime_power_factors, direct_sum
 
 SPHERE = "sphere"
 MOORE = "moore"
 CHANG_ETA = "chang_eta"
 CHANG_R = "chang_r"
-CHANG_S = "chang_s"
-CHANG_RS = "chang_rs"
 MOORE_ETA_LIFT = "moore_eta_lift"
 CHANG_IP_ETA_LIFT = "chang_ip_eta_lift"
 SPHERE_ETA_SQ = "sphere_eta_sq"
 MOORE_ETA_SQ = "moore_eta_sq"
 
-_KIND_RANK = {
-    SPHERE: 0,
-    MOORE: 1,
-    CHANG_ETA: 2,
-    CHANG_R: 3,
-    CHANG_S: 4,
-    CHANG_RS: 5,
-    MOORE_ETA_LIFT: 6,
-    CHANG_IP_ETA_LIFT: 7,
-    SPHERE_ETA_SQ: 8,
-    MOORE_ETA_SQ: 9,
+
+@dataclass(frozen=True)
+class _Variant:
+    """What all summands of one kind share.
+
+    rank orders kinds of equal top dimension in a wedge; min_dim is the
+    lowest allowed top dimension; param names the torsion parameter
+    ('order', 'r' or None); depths give each cell's distance below the top
+    cell, bottom cell first; weight is the block weight; template renders
+    the summand from n, order and r.
+    """
+
+    rank: int
+    min_dim: int
+    param: str | None
+    depths: tuple[int, ...]
+    weight: int
+    template: str
+
+
+_VARIANTS = {
+    SPHERE: _Variant(0, 1, None, (0,), 1, "S^{n}"),
+    MOORE: _Variant(1, 2, "order", (1, 0), 1, "P^{n}(Z/{order})"),
+    CHANG_ETA: _Variant(2, 5, None, (2, 0), 2, "C^{n}_eta"),
+    CHANG_R: _Variant(3, 5, "r", (2, 1, 0), 2, "C^{n}_{{r={r}}}"),
+    MOORE_ETA_LIFT: _Variant(4, 6, "r", (3, 2, 0), 2, "A^{n}(eta~_{r})"),
+    CHANG_IP_ETA_LIFT: _Variant(5, 6, "r", (3, 2, 1, 0), 3, "A^{n}(i_P eta~_{r})"),
+    SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), 2, "A^{n}(eta^2)"),
+    MOORE_ETA_SQ: _Variant(7, 6, "r", (3, 2, 0), 2, "A^{n}(2^{r} eta^2)"),
 }
 
-_MIN_DIM = {
-    SPHERE: 1,
-    MOORE: 2,
-    CHANG_ETA: 5,
-    CHANG_R: 5,
-    CHANG_S: 5,
-    CHANG_RS: 6,
-    MOORE_ETA_LIFT: 6,
-    CHANG_IP_ETA_LIFT: 6,
-    SPHERE_ETA_SQ: 6,
-    MOORE_ETA_SQ: 6,
-}
-
-
-def _is_prime_power(k: int) -> bool:
-    if k < 2:
-        return False
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            return k == 1
-        p += 1 if p == 2 else 2
-    return True
+_Z = FgAbGroup.free(1)
 
 
 @dataclass(frozen=True)
@@ -74,80 +65,49 @@ class ElementaryComplex:
     """One indecomposable wedge summand.
 
     dim is the top cell dimension; order carries the Moore-space torsion
-    order p^e, r the exponent of a 2-primary bottom Moore piece, and s the
-    exponent of a 'dual' top attachment, each used only where the variant
-    calls for it.
+    order p^e and r the exponent of a 2-primary bottom Moore piece, each
+    used only where the variant calls for it.
     """
 
     kind: str
     dim: int
     order: int = 0
     r: int = 0
-    s: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
+        v = _VARIANTS.get(self.kind)
+        if v is None:
             raise ValueError(f"unknown variant {self.kind!r}")
-        if self.dim < _MIN_DIM[self.kind]:
-            raise ValueError(f"{self.kind} needs top dimension >= {_MIN_DIM[self.kind]}")
-        wants_order = self.kind == MOORE
-        wants_r = self.kind in (CHANG_R, CHANG_RS, MOORE_ETA_LIFT, CHANG_IP_ETA_LIFT, MOORE_ETA_SQ)
-        wants_s = self.kind in (CHANG_S, CHANG_RS)
-        if wants_order != (self.order != 0) or (self.order and not _is_prime_power(self.order)):
+        if self.dim < v.min_dim:
+            raise ValueError(f"{self.kind} needs top dimension >= {v.min_dim}")
+        if (v.param == "order") != (self.order != 0) or (
+            self.order and len(_prime_power_factors(self.order)) != 1
+        ):
             raise ValueError(f"bad order {self.order} for {self.kind}")
-        if wants_r != (self.r != 0) or self.r < 0:
+        if (v.param == "r") != (self.r != 0) or self.r < 0:
             raise ValueError(f"bad r {self.r} for {self.kind}")
-        if wants_s != (self.s != 0) or self.s < 0:
-            raise ValueError(f"bad s {self.s} for {self.kind}")
 
     # -- structure ----------------------------------------------------------
 
     def cells(self) -> tuple[int, ...]:
         """Dimensions of the cells, basepoint omitted."""
-        n = self.dim
-        return {
-            SPHERE: (n,),
-            MOORE: (n - 1, n),
-            CHANG_ETA: (n - 2, n),
-            CHANG_R: (n - 2, n - 1, n),
-            CHANG_S: (n - 2, n - 1, n),
-            CHANG_RS: (n - 3, n - 2, n - 1, n),
-            MOORE_ETA_LIFT: (n - 3, n - 2, n),
-            CHANG_IP_ETA_LIFT: (n - 3, n - 2, n - 1, n),
-            SPHERE_ETA_SQ: (n - 3, n),
-            MOORE_ETA_SQ: (n - 3, n - 2, n),
-        }[self.kind]
+        return tuple(self.dim - k for k in _VARIANTS[self.kind].depths)
 
     def reduced_homology(self) -> dict[int, FgAbGroup]:
-        """Nonzero reduced integral homology, degree -> group."""
-        n = self.dim
-        z = FgAbGroup.free(1)
+        """Nonzero reduced integral homology, degree -> group.
 
-        def two(e: int) -> FgAbGroup:
-            return FgAbGroup(0, ((2, e),))
-
-        if self.kind == SPHERE:
-            return {n: z}
-        if self.kind == MOORE:
-            return {n - 1: FgAbGroup.from_orders([self.order])}
-        if self.kind == CHANG_ETA:
-            return {n - 2: z, n: z}
-        if self.kind == CHANG_R:
-            return {n - 2: two(self.r), n: z}
-        if self.kind == CHANG_S:
-            # the top cell kills the (n-1)-sphere mod 2^s, so nothing in degree n
-            return {n - 2: z, n - 1: two(self.s)}
-        if self.kind == CHANG_RS:
-            return {n - 3: two(self.r), n - 1: two(self.s)}
-        if self.kind == MOORE_ETA_LIFT:
-            return {n - 3: two(self.r), n: z}
-        if self.kind == CHANG_IP_ETA_LIFT:
-            return {n - 3: two(self.r), n - 1: z, n: z}
-        if self.kind == SPHERE_ETA_SQ:
-            return {n - 3: z, n: z}
-        if self.kind == MOORE_ETA_SQ:
-            return {n - 3: two(self.r), n: z}
-        raise AssertionError(self.kind)
+        The only nonzero cellular boundary is the torsion one: where the
+        variant has a torsion parameter, the second cell is glued to the
+        bottom cell with degree order (or 2^r), so the bottom cell carries
+        Z/order (or Z/2^r) and the second nothing.  Every other cell
+        carries Z.
+        """
+        cells = self.cells()
+        out = dict.fromkeys(cells, _Z)
+        if _VARIANTS[self.kind].param is not None:
+            out[cells[0]] = FgAbGroup.cyclic(self.order or 2**self.r)
+            del out[cells[1]]
+        return out
 
     def suspend(self) -> "ElementaryComplex":
         """Suspension: same variant, every cell shifted up one dimension."""
@@ -155,31 +115,15 @@ class ElementaryComplex:
 
     def weight(self) -> int:
         """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
-        if self.kind in (SPHERE, MOORE):
-            return 1
-        if self.kind == CHANG_IP_ETA_LIFT:
-            return 3
-        return 2
+        return _VARIANTS[self.kind].weight
 
     def sort_key(self):
-        return (self.dim, _KIND_RANK[self.kind], self.order, self.r, self.s)
+        return (self.dim, _VARIANTS[self.kind].rank, self.order, self.r)
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        n = self.dim
-        return {
-            SPHERE: f"S^{n}",
-            MOORE: f"P^{n}(Z/{self.order})",
-            CHANG_ETA: f"C^{n}_eta",
-            CHANG_R: f"C^{n}_{{r={self.r}}}",
-            CHANG_S: f"C^{{{n},s={self.s}}}",
-            CHANG_RS: f"C^{{{n},s={self.s}}}_{{r={self.r}}}",
-            MOORE_ETA_LIFT: f"A^{n}(eta~_{self.r})",
-            CHANG_IP_ETA_LIFT: f"A^{n}(i_P eta~_{self.r})",
-            SPHERE_ETA_SQ: f"A^{n}(eta^2)",
-            MOORE_ETA_SQ: f"A^{n}(2^{self.r} eta^2)",
-        }[self.kind]
+        return _VARIANTS[self.kind].template.format(n=self.dim, order=self.order, r=self.r)
 
     def __str__(self) -> str:
         return self.render()
@@ -196,8 +140,7 @@ def moore(n: int, k: int) -> list[ElementaryComplex]:
     """Moore space P^n(k): H_{n-1} = Z/k, split into prime-power summands."""
     if k < 2:
         raise ValueError("Moore space needs torsion order >= 2")
-    parts = FgAbGroup.from_orders([k]).torsion
-    return [ElementaryComplex(MOORE, n, order=p**e) for p, e in sorted(parts)]
+    return peterson(n, FgAbGroup.cyclic(k))
 
 
 def peterson(n: int, group: FgAbGroup) -> list[ElementaryComplex]:
@@ -213,14 +156,6 @@ def chang_eta(n: int) -> ElementaryComplex:
 
 def chang_r(n: int, r: int) -> ElementaryComplex:
     return ElementaryComplex(CHANG_R, n, r=r)
-
-
-def chang_s(n: int, s: int) -> ElementaryComplex:
-    return ElementaryComplex(CHANG_S, n, s=s)
-
-
-def chang_rs(n: int, r: int, s: int) -> ElementaryComplex:
-    return ElementaryComplex(CHANG_RS, n, r=r, s=s)
 
 
 def moore_eta_lift(n: int, r: int) -> ElementaryComplex:
@@ -274,9 +209,6 @@ class Wedge:
     def suspend(self) -> "Wedge":
         return wedge(*(cx.suspend() for cx in self.summands))
 
-    def counts(self) -> Counter:
-        return Counter(self.summands)
-
     def weight(self) -> int:
         return sum(cx.weight() for cx in self.summands)
 
@@ -295,7 +227,3 @@ class Wedge:
 def wedge(*summands: ElementaryComplex) -> Wedge:
     """Normalize a collection of summands into the canonical wedge."""
     return Wedge(tuple(sorted(summands, key=ElementaryComplex.sort_key)))
-
-
-def wedge_of(parts) -> Wedge:
-    return wedge(*parts)

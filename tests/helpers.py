@@ -96,13 +96,12 @@ def f2_rank(rows) -> int:
 # -- cellular chain homology oracle ------------------------------------------
 
 
-def boundary_description(kind: str, dim: int, order: int = 0, r: int = 0, s: int = 0):
+def boundary_description(kind: str, dim: int, order: int = 0, r: int = 0):
     """Cell dimensions and nonzero cellular boundary degrees per variant.
 
     Read off the defining cofibrations: a mod-k Moore space has one boundary
     of degree k; attaching maps that live on a lower-dimensional skeleton
-    (eta, eta^2, and their Moore-space lifts) have cellular degree zero, and
-    the 'dual' complexes carry degree 2^s onto their (n-1)-cell.
+    (eta, eta^2, and their Moore-space lifts) have cellular degree zero.
     """
     n = dim
     if kind == "sphere":
@@ -113,10 +112,6 @@ def boundary_description(kind: str, dim: int, order: int = 0, r: int = 0, s: int
         return [n - 2, n], {}
     if kind == "chang_r":
         return [n - 2, n - 1, n], {n - 1: 2**r}
-    if kind == "chang_s":
-        return [n - 2, n - 1, n], {n: 2**s}
-    if kind == "chang_rs":
-        return [n - 3, n - 2, n - 1, n], {n - 2: 2**r, n: 2**s}
     if kind == "moore_eta_lift":
         return [n - 3, n - 2, n], {n - 2: 2**r}
     if kind == "chang_ip_eta_lift":
@@ -154,7 +149,7 @@ def chain_homology(cells: list[int], degrees: dict[int, int]) -> dict[int, FgAbG
 
 def oracle_homology(cx) -> dict[int, FgAbGroup]:
     """Recompute reduced homology of an ElementaryComplex from its chains."""
-    cells, degrees = boundary_description(cx.kind, cx.dim, cx.order, cx.r, cx.s)
+    cells, degrees = boundary_description(cx.kind, cx.dim, cx.order, cx.r)
     return chain_homology(cells, degrees)
 
 

@@ -2,14 +2,17 @@
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import susp5
 from helpers import random_descriptor
 from susp5.cli import (
     ParseError,
@@ -307,3 +310,34 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "S^2 v S^3 v S^4 v S^5 v S^6" in proc.stdout
+
+
+# A complex K-theory table that is wrong on spheres; the balance check
+# must catch it however the interpreter runs (asserts vanish under -O).
+_BAD_K_TABLE = """
+import sys
+from susp5 import cli, invariants
+from susp5.abgroup import FgAbGroup
+from susp5.spaces import SPHERE
+
+good = invariants.k_of_summand
+invariants.k_of_summand = lambda s: FgAbGroup.free(1) if s.kind == SPHERE else good(s)
+with open(sys.argv[1], encoding="utf-8") as fh:
+    desc = cli.parse_descriptor_text(fh.read())
+print(__debug__, cli.build_report(desc)["checks"]["complex_k_balance"])
+"""
+
+
+@pytest.mark.parametrize("flags, debug", [([], True), (["-O"], False)])
+def test_k_balance_fault_detected_with_and_without_O(flags, debug):
+    descriptor = Path(__file__).resolve().parents[1] / "scripts/descriptors/spin_trivial.txt"
+    src = str(Path(susp5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BAD_K_TABLE, str(descriptor)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(debug), "fail"]

@@ -16,7 +16,6 @@ from susp5.decompose import (
     homology_section,
     manifold_homology,
     resolve_attaching_data,
-    suspend_wedge,
     suspension_decomposition,
 )
 from susp5.reduction import AttachCase, AttachingDataError, HMatrix, PhiVector
@@ -194,9 +193,7 @@ def test_double_is_suspension_of_single():
     rng = random.Random(7)
     for _ in range(40):
         d0 = random_descriptor(rng, h1_primes=(5, 7))
-        assert double_suspension_decomposition(d0) == suspend_wedge(
-            suspension_decomposition(d0)
-        )
+        assert double_suspension_decomposition(d0) == suspension_decomposition(d0).suspend()
 
 
 def test_validation_errors():

@@ -19,8 +19,6 @@ from susp5.spaces import (
     chang_eta,
     chang_ip_eta_lift,
     chang_r,
-    chang_rs,
-    chang_s,
     moore,
     moore_eta_lift,
     moore_eta_sq,
@@ -42,8 +40,6 @@ FROZEN_HOMOLOGY = [
     (moore(4, 8)[0], {3: zmod(8)}),
     (chang_eta(5), {3: Z, 5: Z}),
     (chang_r(5, 2), {3: zmod(4), 5: Z}),
-    (chang_s(5, 3), {3: Z, 4: zmod(8)}),
-    (chang_rs(6, 1, 2), {3: zmod(2), 5: zmod(4)}),
     (moore_eta_lift(6, 2), {3: zmod(4), 6: Z}),
     (chang_ip_eta_lift(6, 3), {3: zmod(8), 5: Z, 6: Z}),
     (sphere_eta_sq(6), {3: Z, 6: Z}),
@@ -55,8 +51,6 @@ FROZEN_CELLS = [
     (moore(4, 8)[0], (3, 4)),
     (chang_eta(5), (3, 5)),
     (chang_r(5, 2), (3, 4, 5)),
-    (chang_s(5, 3), (3, 4, 5)),
-    (chang_rs(6, 1, 2), (3, 4, 5, 6)),
     (moore_eta_lift(6, 2), (3, 4, 6)),
     (chang_ip_eta_lift(6, 3), (3, 4, 5, 6)),
     (sphere_eta_sq(6), (3, 6)),
@@ -71,15 +65,12 @@ def all_variants():
         out.append(chang_eta(n))
         for r in (1, 2, 3):
             out.append(chang_r(n, r))
-            out.append(chang_s(n, s=r))
     for n in (6, 7, 8):
         out.append(sphere_eta_sq(n))
         for r in (1, 2, 3):
             out.append(moore_eta_lift(n, r))
             out.append(chang_ip_eta_lift(n, r))
             out.append(moore_eta_sq(n, r))
-            for s in (1, 2):
-                out.append(chang_rs(n, r, s))
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5, 8, 9):
             out.extend(moore(n, k))
