@@ -254,9 +254,6 @@ class FgAbGroup:
     def has_3_torsion(self) -> bool:
         return any(p == 3 for p, _ in self.torsion)
 
-    def torsion_orders(self) -> tuple[int, ...]:
-        return tuple(p**e for p, e in self.torsion)
-
     def num_torsion_summands(self) -> int:
         return len(self.torsion)
 
@@ -267,9 +264,6 @@ class FgAbGroup:
     def primary_component(self, p: int) -> "FgAbGroup":
         """The p-primary torsion subgroup (free part discarded)."""
         return FgAbGroup(0, tuple(t for t in self.torsion if t[0] == p))
-
-    def torsion_part(self) -> "FgAbGroup":
-        return FgAbGroup(0, self.torsion)
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         rank = self.free_rank + sum(g.free_rank for g in others)

@@ -263,14 +263,15 @@ class _Parser:
         spin = self._bool("spin")
         h1 = self._group("H") if "H" in self.scalars else _0
         h2 = self._group("T") if "T" in self.scalars else _0
-        smooth_given = "smooth" in self.scalars
-        pd_given = "pd_mode" in self.scalars
-        smooth = self._bool("smooth") if smooth_given else True
-        pd_mode = self._bool("pd_mode") if pd_given else False
-        if pd_given and not smooth_given:
+        smooth = self._bool("smooth") if "smooth" in self.scalars else True
+        if "pd_mode" in self.scalars:
+            pd_mode = self._bool("pd_mode")
+            if "smooth" in self.scalars and pd_mode == smooth:
+                _, line, col = self.scalars["pd_mode"]
+                self.error(
+                    "consistency", "exactly one of smooth and pd_mode must be set", line, col
+                )
             smooth = not pd_mode
-        if smooth_given and not pd_given:
-            pd_mode = not smooth
 
         inv_given = [k for k in _INVARIANT_ROUTE_KEYS if k in self.scalars]
         if inv_given and self.saw_matrix:
@@ -283,7 +284,7 @@ class _Parser:
 
         common = dict(
             l=l, d=d, h1_torsion=h1, h2_torsion=h2,
-            spin=spin, smooth=smooth, pd_mode=pd_mode,
+            spin=spin, smooth=smooth,
         )
         if self.saw_matrix:
             return self._build_from_matrix(common)
@@ -468,10 +469,10 @@ def build_report(desc, mode="single", run_checks=True, inject_fault=False):
             checks["homology_shift"] = "fail (injected fault)"
         else:
             w, shift = (single, 1) if single is not None else (double, 2)
-            top = w.top_dim()
+            wh = w.homology()
             ok = all(
-                w.homology_in(i) == _expected_shift(hm, i, shift)
-                for i in range(0, top + 2)
+                wh.get(i, _0) == _expected_shift(hm, i, shift)
+                for i in range(0, w.top_dim() + 2)
             )
             checks["homology_shift"] = "ok" if ok else "fail"
         h = desc.h1_torsion.num_torsion_summands()

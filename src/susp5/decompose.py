@@ -70,7 +70,6 @@ class ManifoldDescriptor:
     h2_torsion: FgAbGroup
     spin: bool
     smooth: bool
-    pd_mode: bool = False
     c1: int = 0
     c2: int = 0
     consumed: tuple[int, ...] = ()
@@ -84,8 +83,6 @@ class ManifoldDescriptor:
                 raise DescriptorError(f"{name} torsion part must be a torsion group")
         if self.h1_torsion.has_2_torsion:
             raise DescriptorError("first homology torsion must be odd")
-        if self.smooth == self.pd_mode:
-            raise DescriptorError("exactly one of smooth and pd_mode must be set")
         t2 = len(self.two_primary_exponents)
         if not 0 <= self.c1 <= min(self.l, self.d):
             raise DescriptorError("c1 must satisfy 0 <= c1 <= min(l, d)")
@@ -133,6 +130,11 @@ class ManifoldDescriptor:
                 object.__setattr__(self, "case", replace(case, r=r))
             elif case.r != r:
                 raise DescriptorError("case exponent does not match the summand")
+
+    @property
+    def pd_mode(self) -> bool:
+        """A Poincare duality complex rather than a smooth manifold."""
+        return not self.smooth
 
     @property
     def two_primary_exponents(self) -> tuple[int, ...]:
@@ -264,7 +266,6 @@ def resolve_attaching_data(
     h2_torsion: FgAbGroup,
     spin: bool,
     smooth: bool,
-    pd_mode: bool = False,
     h_matrix: HMatrix,
     phi: PhiVector | None = None,
 ) -> ManifoldDescriptor:
@@ -325,7 +326,6 @@ def resolve_attaching_data(
         h2_torsion=h2_torsion,
         spin=spin,
         smooth=smooth,
-        pd_mode=pd_mode,
         c1=c1,
         c2=c2,
         consumed=consumed,

@@ -243,7 +243,6 @@ def random_descriptor(
         h2_torsion=h2,
         spin=spin,
         smooth=smooth,
-        pd_mode=not smooth,
         c1=c1,
         c2=c2,
         consumed=consumed,

@@ -52,7 +52,6 @@ def desc(l, d, H="0", T="0", spin=True, smooth=True, **kw) -> ManifoldDescriptor
         h2_torsion=G(T),
         spin=spin,
         smooth=smooth,
-        pd_mode=not smooth,
         **kw,
     )
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -246,6 +247,18 @@ def test_parse_error_exit_and_stderr(tmp_path):
     assert "syntax error" in err.getvalue()
 
 
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_contradictory_smooth_and_pd_mode_exit(tmp_path, flag):
+    p = tmp_path / "both.txt"
+    p.write_text(f"l = 1\nd = 1\nspin = true\nsmooth = {flag}\npd_mode = {flag}\n")
+    err = io.StringIO()
+    code = run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err)
+    assert code == 2
+    assert err.getvalue() == (
+        f"{p}:5:11: consistency error: exactly one of smooth and pd_mode must be set\n"
+    )
+
+
 def test_missing_file_exit(tmp_path):
     err = io.StringIO()
     code = run(
@@ -341,3 +354,37 @@ def test_k_balance_fault_detected_with_and_without_O(flags, debug):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(debug), "fail"]
+
+
+# Runs the CLI over the sample descriptors in both modes and prints every
+# susp5 module the runs imported.
+_IMPORTED_BY_CLI = """
+import contextlib, io, sys
+from susp5.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for mode in ("single", "double"):
+        main(["--mode", mode, "--format", "structured", *sys.argv[1:]])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("susp5."))))
+"""
+
+
+def test_every_module_is_reached_from_the_cli():
+    # a module no report path imports is dead code: wire it in or delete it
+    root = Path(__file__).resolve().parents[1]
+    descriptors = sorted((root / "scripts" / "descriptors").glob("*.txt"))
+    src = str(Path(susp5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_BY_CLI, *map(str, descriptors)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = {
+        info.name
+        for info in pkgutil.iter_modules(susp5.__path__, "susp5.")
+        if info.name != "susp5.__main__"
+    }
+    assert modules - set(proc.stdout.split()) == set()

@@ -31,7 +31,6 @@ def desc(l=1, d=1, H="0", T="0", spin=True, smooth=True, **kw):
         h2_torsion=FgAbGroup.from_string(T),
         spin=spin,
         smooth=smooth,
-        pd_mode=not smooth,
         **kw,
     )
 
@@ -203,10 +202,6 @@ def test_validation_errors():
         desc(H="Z/2")
     with pytest.raises(DescriptorError):
         desc(H="Z")
-    with pytest.raises(DescriptorError):
-        ManifoldDescriptor(
-            l=1, d=1, h1_torsion=Z0, h2_torsion=Z0, spin=True, smooth=True, pd_mode=True
-        )
     with pytest.raises(DescriptorError):
         desc(c1=2)
     with pytest.raises(DescriptorError):

@@ -52,7 +52,6 @@ def desc(l=1, d=1, H="0", T="0", spin=True, smooth=True, **kw):
         h2_torsion=G(T),
         spin=spin,
         smooth=smooth,
-        pd_mode=not smooth,
         **kw,
     )
 

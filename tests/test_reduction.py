@@ -10,6 +10,8 @@ from susp5.reduction import (
     AttachingDataError,
     HMatrix,
     PhiVector,
+    _b_transport,
+    _slot_add,
     enumerate_orbit,
     enumerate_phi_orbit,
     legal_moves,
@@ -249,3 +251,64 @@ def test_phi_moves_fix_source_components():
             )
         )
         assert diffs == 1
+
+
+# -- slot arithmetic against the map calculus ---------------------------------
+#
+# A Moore slot of exponent r holds a map S^5 -> P^4(2^r), written as
+# a * eta~_r + b * i eta^2.  Stated independently of reduction.py:
+#   chi^a_b = 1 if a >= b, else 2^(b - a);
+#   B(chi^rk_rj) eta~_rk = chi^rj_rk eta~_rj;
+#   B(chi^rk_rj) i eta^2 = chi^rk_rj i eta^2;
+#   2 eta~_1 = i eta^2, so the slot is Z/4 at r = 1 and Z/2 + Z/2 above.
+
+
+def _chi(a, b):
+    return 1 if a >= b else 2 ** (b - a)
+
+
+def _slot_to_map(c, r):
+    """(lift coefficient, i eta^2 coefficient) of a slot value."""
+    return (c, 0) if r == 1 else (c & 1, c >> 1)
+
+
+def _map_to_slot(a, b, r):
+    if r == 1:
+        return (a + 2 * b) % 4  # 2 eta~_1 = i eta^2
+    return a % 2 + 2 * (b % 2)
+
+
+EXPONENTS = range(1, 5)
+
+
+def test_slot_group_law_matches_map_calculus():
+    for r in EXPONENTS:
+        for c in range(4):
+            for delta in range(4):
+                (a, b), (da, db) = _slot_to_map(c, r), _slot_to_map(delta, r)
+                assert _slot_add(c, r, delta) == _map_to_slot(a + da, b + db, r), (c, r, delta)
+
+
+def test_slot_group_is_z4_at_exponent_one_and_z2_z2_above():
+    def order(c, r):
+        n, acc = 1, c
+        while acc:
+            n, acc = n + 1, _slot_add(acc, r, c)
+        return n
+
+    assert sorted(order(c, 1) for c in range(4)) == [1, 2, 4, 4]
+    for r in range(2, 5):
+        assert sorted(order(c, r) for c in range(4)) == [1, 2, 2, 2]
+    # i eta^2 is the slot value 2 at every exponent, twice the lift at r = 1
+    for r in EXPONENTS:
+        assert _map_to_slot(0, 1, r) == 2
+    assert _slot_add(1, 1, 1) == _map_to_slot(0, 1, 1)
+
+
+def test_b_chi_transport_matches_map_calculus():
+    for rk in EXPONENTS:
+        for rj in EXPONENTS:
+            for c in range(4):
+                a, b = _slot_to_map(c, rk)
+                want = _map_to_slot(a * _chi(rj, rk), b * _chi(rk, rj), rj)
+                assert _b_transport(c, rk, rj) == want, (c, rk, rj)
