@@ -1,263 +1,63 @@
-"""Tables and composition rules for map classes between elementary complexes."""
+"""Composition laws of the map calculus, as the Moore-slot tables of
+``susp5.reduction`` encode them.
 
-import pytest
+A Moore slot of exponent r holds a map S^5 -> P^4(2^r).  At r = 1 the slot
+value c stands for c * eta~_1, and i eta^2 = 2 eta~_1 is the value 2; above,
+bit 0 is the coefficient of eta~_r and bit 1 that of i eta^2.
+"""
 
-from susp5.abgroup import FgAbGroup
-from susp5.maps import (
-    Gen,
-    UnknownComposite,
-    UnsupportedPair,
-    compose,
-    hom_group,
-    map_class,
-    zero_map,
-)
-from susp5.spaces import chang_eta, chang_r, moore, sphere
+from susp5.reduction import _b_transport, _slot_add
 
-
-def grp(*orders):
-    return FgAbGroup.from_orders(list(orders))
-
-
-def P(n, k):
-    (cx,) = moore(n, k)
-    return cx
-
-
-def gen_of(src, dst, name):
-    entry = hom_group(src, dst)
-    (g,) = [g for g in entry.gens if g.name == name]
-    return g
-
-
-SPHERE_TABLE = [
-    (4, 3, grp(2)),
-    (5, 4, grp(2)),
-    (3, 2, FgAbGroup.free(1)),
-    (5, 3, grp(2)),
-    (6, 4, grp(2)),
-    (7, 7, FgAbGroup.free(1)),
-    (2, 4, grp()),
-]
-
-
-def test_sphere_sphere_table():
-    for m, n, expected in SPHERE_TABLE:
-        assert hom_group(sphere(m), sphere(n)).group == expected, (m, n)
-
-
-def test_sphere_sphere_unsupported():
-    with pytest.raises(UnsupportedPair):
-        hom_group(sphere(6), sphere(3))
-    with pytest.raises(UnsupportedPair):
-        hom_group(sphere(4), sphere(2))
-
-
-def test_sphere_to_moore_table():
-    assert hom_group(sphere(3), P(4, 8)).group == grp(8)  # bottom inclusion
-    assert hom_group(sphere(4), P(4, 4)).group == grp(2)  # i eta
-    assert hom_group(sphere(3), P(3, 25)).group == grp(25)  # i eta on an odd bottom
-    assert hom_group(sphere(4), P(4, 27)).group.is_trivial
-    assert hom_group(sphere(4), P(3, 27)).group.is_trivial
-    assert hom_group(sphere(5), P(4, 7)).group.is_trivial
-    assert hom_group(sphere(2), P(4, 8)).group.is_trivial
-
-
-def test_pi_above_top_two_primary():
-    e = hom_group(sphere(5), P(4, 2))
-    assert e.group == grp(4)
-    assert [g.name for g in e.gens] == ["eta_lift"]
-    e = hom_group(sphere(5), P(4, 8))
-    assert e.group == grp(2, 2)
-    assert [g.name for g in e.gens] == ["eta_lift", "i_eta_sq"]
-
-
-def test_mod3_lift_suspends_trivially():
-    e = hom_group(sphere(5), P(3, 9))
-    assert e.group == grp(27)
-    assert e.notes == ("suspends trivially",)
-    assert hom_group(sphere(5), P(3, 5)).group.is_trivial
-
-
-def test_moore_self_maps():
-    assert hom_group(P(4, 2), P(4, 2)).group == grp(4)
-    assert hom_group(P(5, 4), P(5, 8)).group == grp(4, 2)
-    assert hom_group(P(4, 8), P(4, 2)).group == grp(2, 2)
-    assert hom_group(P(4, 9), P(4, 27)).group == grp(9)
-    assert hom_group(P(3, 9), P(3, 3)).group == grp(3, 3)
-    assert hom_group(P(4, 9), P(4, 5)).group.is_trivial
-    assert hom_group(P(4, 25), P(3, 5)).group == grp(5)
-    assert hom_group(P(5, 25), P(4, 5)).group.is_trivial
-
-
-def test_pinch_table():
-    assert hom_group(P(4, 8), sphere(4)).group == grp(8)
-    assert hom_group(P(5, 3), sphere(5)).group == grp(3)
-
-
-def test_sphere_to_chang():
-    assert hom_group(sphere(6), chang_eta(6)).group == FgAbGroup.free(1)
-    e = hom_group(sphere(5), chang_r(5, 2))
-    assert e.group == FgAbGroup(free_rank=1, torsion=((2, 1),))
-    assert [g.name for g in e.gens] == ["i_eta_zeta", "ip_eta_lift"]
-
-
-def test_pinch_of_eta_lift_is_eta():
-    for r in (1, 2, 3):
-        lift = gen_of(sphere(5), P(4, 2**r), "eta_lift").as_map()
-        q = gen_of(P(4, 2**r), sphere(4), "pinch").as_map()
-        assert compose(q, lift).render() == "eta"
+LIFT, I_ETA_SQ = 1, 2
+EXPONENTS = range(1, 5)
+SLOTS = range(4)
 
 
 def test_two_eta_lift_one_is_i_eta_sq():
     # 2 eta~_1 equals the bottom inclusion composed with eta^2
-    i = gen_of(sphere(3), P(4, 2), "inc").as_map()
-    eta_sq = gen_of(sphere(5), sphere(3), "eta_sq").as_map()
-    lift = gen_of(sphere(5), P(4, 2), "eta_lift").as_map()
-    assert compose(i, eta_sq) == lift.scale(2)
+    assert _slot_add(LIFT, 1, LIFT) == I_ETA_SQ
+    assert _slot_add(I_ETA_SQ, 1, I_ETA_SQ) == 0  # eta~_1 has order 4
 
 
 def test_i_eta_sq_for_higher_exponent():
-    i = gen_of(sphere(3), P(4, 8), "inc").as_map()
-    eta_sq = gen_of(sphere(5), sphere(3), "eta_sq").as_map()
-    got = compose(i, eta_sq)
-    assert [g.name for g, _ in got.terms] == ["i_eta_sq"]
-
-
-def test_i_eta_then_eta():
-    eta = gen_of(sphere(5), sphere(4), "eta").as_map()
-    ieta = gen_of(sphere(4), P(4, 2), "i_eta").as_map()
-    assert compose(ieta, eta) == gen_of(sphere(5), P(4, 2), "eta_lift").as_map().scale(2)
-    ieta8 = gen_of(sphere(4), P(4, 8), "i_eta").as_map()
-    assert [g.name for g, _ in compose(ieta8, eta).terms] == ["i_eta_sq"]
-
-
-def test_eta_sq_dies_in_odd_moore():
-    ieta = gen_of(sphere(3), P(3, 25), "i_eta").as_map()
-    eta = gen_of(sphere(4), sphere(3), "eta").as_map()
-    assert compose(ieta, eta).is_null
+    # above r = 1, i eta^2 is a generator of its own and 2 eta~_r = 0
+    for r in range(2, 5):
+        assert _slot_add(LIFT, r, LIFT) == 0
+        assert _slot_add(I_ETA_SQ, r, I_ETA_SQ) == 0
+        assert _slot_add(LIFT, r, I_ETA_SQ) == 3
 
 
 def test_b_chi_on_bottom_inclusion():
-    i = gen_of(sphere(3), P(4, 4), "inc").as_map()
-    up = gen_of(P(4, 4), P(4, 8), "b_chi").as_map()
-    assert compose(up, i).terms[0][1] == 2  # chi^2_3 = 2
-    down = gen_of(P(4, 8), P(4, 4), "b_chi").as_map()
-    i8 = gen_of(sphere(3), P(4, 8), "inc").as_map()
-    assert compose(down, i8).terms[0][1] == 1  # chi^3_2 = 1
+    # B(chi^rk_rj) i = chi^rk_rj i, seen here on i eta^2
+    assert _b_transport(I_ETA_SQ, 2, 3) == 0  # chi^2_3 = 2 kills i eta^2
+    assert _b_transport(I_ETA_SQ, 3, 2) == I_ETA_SQ  # chi^3_2 = 1
 
 
 def test_b_chi_on_eta_lift():
     # B(chi^r_s) eta~_r = chi^s_r eta~_s
-    lift2 = gen_of(sphere(5), P(4, 4), "eta_lift").as_map()
-    down = gen_of(P(4, 4), P(4, 2), "b_chi").as_map()
-    assert compose(down, lift2) == gen_of(sphere(5), P(4, 2), "eta_lift").as_map().scale(2)
-    up = gen_of(P(4, 4), P(4, 8), "b_chi").as_map()
-    assert compose(up, lift2) == gen_of(sphere(5), P(4, 8), "eta_lift").as_map()
-    lift3 = gen_of(sphere(5), P(4, 8), "eta_lift").as_map()
-    down3 = gen_of(P(4, 8), P(4, 2), "b_chi").as_map()
-    assert compose(down3, lift3).is_null  # chi^1_3 = 4 kills an order-4 class
-
-
-def test_pinch_of_b_chi():
-    down = gen_of(P(4, 8), P(4, 2), "b_chi").as_map()
-    q2 = gen_of(P(4, 2), sphere(4), "pinch").as_map()
-    got = compose(q2, down)
-    assert got.terms[0][0].name == "pinch" and got.terms[0][1] == 4  # chi^1_3 q
-
-
-def test_i_eta_q_on_eta_lift():
-    lift = gen_of(sphere(5), P(4, 8), "eta_lift").as_map()
-    iq = gen_of(P(4, 8), P(4, 4), "i_eta_q").as_map()
-    assert [g.name for g, _ in compose(iq, lift).terms] == ["i_eta_sq"]
-    iq1 = gen_of(P(4, 8), P(4, 2), "i_eta_q").as_map()
-    assert compose(iq1, lift) == gen_of(sphere(5), P(4, 2), "eta_lift").as_map().scale(2)
-    i = gen_of(sphere(3), P(4, 8), "inc").as_map()
-    assert compose(iq, i).is_null
-
-
-def test_xi_bar_relations():
-    C = chang_r(5, 2)
-    ip = Gen("inc_moore", P(4, 4), C).as_map()
-    xi = Gen("xi_bar", C, P(4, 8), (2,)).as_map()
-    got = compose(xi, ip)
-    assert got.terms[0][0].name == "b_chi" and got.terms[0][0].params == (2, 3)
-
-    lift = gen_of(sphere(5), C, "ip_eta_lift").as_map()
-    assert compose(xi, lift) == gen_of(sphere(5), P(4, 8), "eta_lift").as_map()
-
-
-def test_inc_moore_of_eta_lift():
-    C = chang_r(5, 3)
-    ip = Gen("inc_moore", P(4, 8), C).as_map()
-    lift = gen_of(sphere(5), P(4, 8), "eta_lift").as_map()
-    assert compose(ip, lift) == gen_of(sphere(5), C, "ip_eta_lift").as_map()
-    # i eta^2 dies in the two-stage complex: pi_5 there is Z + Z/2 with the
-    # torsion carried by i_P eta~, and i_P (i eta^2) = 2 i_P eta~ = 0
-    isq = gen_of(sphere(5), P(4, 8), "i_eta_sq").as_map()
-    assert compose(ip, isq).is_null
-
-
-def test_zeta_pinch_relation():
-    C = chang_eta(6)
-    z = gen_of(sphere(6), C, "zeta").as_map()
-    q = Gen("pinch_top", C, sphere(6)).as_map()
-    assert compose(q, z).terms == ((Gen("id", sphere(6), sphere(6)), 2),)
-
-
-def test_i_eta_zeta_factorization():
-    Ceta, C = chang_eta(5), chang_r(5, 1)
-    z = gen_of(sphere(5), Ceta, "zeta").as_map()
-    ie = Gen("inc_eta", Ceta, C).as_map()
-    assert compose(ie, z) == gen_of(sphere(5), C, "i_eta_zeta").as_map()
-
-
-def test_eta_squared_composite():
-    eta43 = gen_of(sphere(4), sphere(3), "eta").as_map()
-    eta54 = gen_of(sphere(5), sphere(4), "eta").as_map()
-    assert compose(eta43, eta54) == gen_of(sphere(5), sphere(3), "eta_sq").as_map()
-
-
-def test_eta_below_range_raises():
-    eta32 = gen_of(sphere(3), sphere(2), "eta").as_map()
-    eta43 = gen_of(sphere(4), sphere(3), "eta").as_map()
-    with pytest.raises(UnknownComposite):
-        compose(eta32, eta43)
-
-
-def test_identity_composites():
-    eta = gen_of(sphere(4), sphere(3), "eta").as_map()
-    id3 = gen_of(sphere(3), sphere(3), "id").as_map()
-    id4 = gen_of(sphere(4), sphere(4), "id").as_map()
-    assert compose(id3, eta) == eta
-    assert compose(eta, id4) == eta
-    assert compose(id3, eta.scale(2)).is_null
-
-
-def test_map_arithmetic():
-    eta = gen_of(sphere(4), sphere(3), "eta").as_map()
-    assert (eta + eta).is_null
-    assert eta.scale(3) == eta
-    assert -eta == eta
-    assert eta + zero_map(sphere(4), sphere(3)) == eta
-    assert eta.render() == "eta"
-    assert zero_map(sphere(4), sphere(3)).render() == "0"
+    assert _b_transport(LIFT, 2, 1) == I_ETA_SQ  # 2 eta~_1
+    assert _b_transport(LIFT, 2, 3) == LIFT
+    assert _b_transport(LIFT, 3, 1) == 0  # chi^1_3 = 4 kills an order-4 class
 
 
 def test_compose_bilinear():
-    lift = gen_of(sphere(5), P(4, 2), "eta_lift").as_map()
-    q = gen_of(P(4, 2), sphere(4), "pinch").as_map()
-    assert compose(q, lift.scale(3)) == compose(q, lift).scale(3)
-    assert compose(q, lift.scale(2)).is_null  # q (i eta^2) = 0
+    # composing with B(chi) is a homomorphism of slot groups
+    for rk in EXPONENTS:
+        for rj in EXPONENTS:
+            for c in SLOTS:
+                for d in SLOTS:
+                    lhs = _b_transport(_slot_add(c, rk, d), rk, rj)
+                    rhs = _slot_add(_b_transport(c, rk, rj), rj, _b_transport(d, rk, rj))
+                    assert lhs == rhs, (c, d, rk, rj)
 
 
-def test_endpoint_errors():
-    eta = gen_of(sphere(4), sphere(3), "eta").as_map()
-    with pytest.raises(ValueError):
-        compose(eta, eta)
-    with pytest.raises(ValueError):
-        eta + zero_map(sphere(5), sphere(4))
-    with pytest.raises(ValueError):
-        map_class(sphere(5), sphere(3), [(Gen("eta", sphere(4), sphere(3)), 1)])
-    with pytest.raises(UnsupportedPair):
-        hom_group(P(4, 4), chang_eta(6))
+def test_map_arithmetic():
+    # the slot values form an abelian group at every exponent
+    for r in EXPONENTS:
+        for a in SLOTS:
+            assert _slot_add(a, r, 0) == a
+            assert any(_slot_add(a, r, b) == 0 for b in SLOTS), (a, r)
+            for b in SLOTS:
+                assert _slot_add(a, r, b) == _slot_add(b, r, a)
+                for c in SLOTS:
+                    assert _slot_add(_slot_add(a, r, b), r, c) == _slot_add(a, r, _slot_add(b, r, c))
