@@ -396,11 +396,13 @@ def _expected_shift(hm, i, shift):
     return hm[j] if 1 <= j <= 5 else _0
 
 
-def build_report(desc, mode="single", run_checks=True, inject_fault=False):
+def build_report(desc, mode="single", run_checks=True):
     """Compute everything for one descriptor; returns a JSON-ready dict.
 
-    In single mode a first homology with three-torsion is an error; in
-    double mode the single suspension is simply reported as not split.
+    Each wedge is built once and every invariant is read off it.  In
+    single mode a first homology with three-torsion is an error; in double
+    mode the single suspension is simply reported as not split and the
+    double suspension is built directly.
     """
     single = None
     single_reason = None
@@ -410,19 +412,21 @@ def build_report(desc, mode="single", run_checks=True, inject_fault=False):
         single_reason = str(exc)
         if mode == "single":
             raise
-    double = double_suspension_decomposition(desc)
+        double = double_suspension_decomposition(desc)
+    else:
+        double = single.suspend()
     hm = manifold_homology(desc)
 
     try:
-        k_comp, k_ok = k_group(desc), True
+        k_comp, k_ok = k_group(desc, double), True
     except BalanceError:
         k_comp, k_ok = None, False
     try:
-        ko_comp, ko_ok = ko_group(desc), True
+        ko_comp, ko_ok = ko_group(desc, double), True
     except BalanceError:
         ko_comp, ko_ok = None, False
     p3 = pi3(desc)
-    cross = pi4_sigma_crosscheck(desc) if single is not None else None
+    cross = pi4_sigma_crosscheck(single) if single is not None else None
 
     report = {
         "input": {
@@ -465,16 +469,13 @@ def build_report(desc, mode="single", run_checks=True, inject_fault=False):
 
     checks = {}
     if run_checks:
-        if inject_fault:
-            checks["homology_shift"] = "fail (injected fault)"
-        else:
-            w, shift = (single, 1) if single is not None else (double, 2)
-            wh = w.homology()
-            ok = all(
-                wh.get(i, _0) == _expected_shift(hm, i, shift)
-                for i in range(0, w.top_dim() + 2)
-            )
-            checks["homology_shift"] = "ok" if ok else "fail"
+        w, shift = (single, 1) if single is not None else (double, 2)
+        wh = w.homology()
+        ok = all(
+            wh.get(i, _0) == _expected_shift(hm, i, shift)
+            for i in range(0, w.top_dim() + 2)
+        )
+        checks["homology_shift"] = "ok" if ok else "fail"
         h = desc.h1_torsion.num_torsion_summands()
         t = desc.h2_torsion.num_torsion_summands()
         want = 2 * desc.l + 2 * desc.d + 2 * h + t + 1
@@ -537,7 +538,6 @@ class RunConfig:
     fmt: str = "human"
     check: str = "all"
     out: str | None = None
-    inject_fault: bool = False
 
 
 def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
@@ -561,12 +561,7 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     for source, text in sources:
         try:
             desc = parse_descriptor_text(text, source=source)
-            report = build_report(
-                desc,
-                mode=config.mode,
-                run_checks=config.check == "all",
-                inject_fault=config.inject_fault,
-            )
+            report = build_report(desc, mode=config.mode, run_checks=config.check == "all")
         except ParseError as exc:
             print(str(exc), file=stderr)
             worst = max(worst, 2)
@@ -618,7 +613,6 @@ def make_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", dest="fmt", choices=("human", "structured"), default="human")
     ap.add_argument("--check", choices=("all", "none"), default="all")
     ap.add_argument("--out", default=None, help="write the report here instead of stdout")
-    ap.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return ap
 
 
@@ -630,7 +624,6 @@ def main(argv=None) -> int:
         fmt=ns.fmt,
         check=ns.check,
         out=ns.out,
-        inject_fault=ns.inject_fault,
     )
     return run(config)
 

@@ -17,11 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from susp5.abgroup import FgAbGroup, direct_sum
-from susp5.decompose import (
-    ManifoldDescriptor,
-    double_suspension_decomposition,
-    suspension_decomposition,
-)
+from susp5.decompose import ManifoldDescriptor
 from susp5.spaces import (
     CHANG_ETA,
     CHANG_IP_ETA_LIFT,
@@ -32,6 +28,7 @@ from susp5.spaces import (
     SPHERE,
     SPHERE_ETA_SQ,
     ElementaryComplex,
+    Wedge,
 )
 
 
@@ -187,17 +184,17 @@ def _assemble(summands, table) -> GroupComputation:
     return GroupComputation(direct_sum(*(c.group for c in contribs)), contribs)
 
 
-def k_group(desc: ManifoldDescriptor) -> GroupComputation:
-    """Reduced complex K-theory of the five-complex."""
-    comp = _assemble(double_suspension_decomposition(desc).summands, k_of_summand)
+def k_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
+    """Reduced complex K-theory, read off the double suspension wedge."""
+    comp = _assemble(double.summands, k_of_summand)
     if comp.group != k_closed_form(desc):
         raise BalanceError("complex K-theory table out of balance")
     return comp
 
 
-def ko_group(desc: ManifoldDescriptor) -> GroupComputation:
-    """Reduced real K-theory of the five-complex."""
-    comp = _assemble(double_suspension_decomposition(desc).summands, ko_of_summand)
+def ko_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
+    """Reduced real K-theory, read off the double suspension wedge."""
+    comp = _assemble(double.summands, ko_of_summand)
     if comp.group != ko_closed_form(desc):
         raise BalanceError("real K-theory table out of balance")
     return comp
@@ -237,11 +234,11 @@ def pi3(desc: ManifoldDescriptor) -> FgAbGroup:
     return direct_sum(*parts)
 
 
-def pi4_sigma_crosscheck(desc: ManifoldDescriptor) -> GroupComputation:
-    """Recompute pi3 as maps from the single suspension to the
-    four-sphere, one wedge summand at a time."""
+def pi4_sigma_crosscheck(single: Wedge) -> GroupComputation:
+    """Recompute pi3 as maps from the single suspension wedge to the
+    four-sphere, one summand at a time."""
     contribs = []
-    for s in suspension_decomposition(desc).summands:
+    for s in single.summands:
         g, implied = maps_to_s4(s)
         contribs.append(Contribution(s, g, implied))
     return GroupComputation(

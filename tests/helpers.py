@@ -269,3 +269,19 @@ def shape_variants(desc: ManifoldDescriptor):
 
 def wedge_homology(w, degree: int) -> FgAbGroup:
     return w.homology_in(degree)
+
+
+# -- sample inputs -------------------------------------------------------------
+
+# Three-primary H: the single suspension does not split, so a double-mode
+# report builds the double suspension directly.  Kept out of
+# scripts/descriptors, whose files all run in single mode.
+THREE_PRIMARY_ETA = """\
+l = 2
+d = 1
+H = Z/3 + Z/5
+T = Z/4
+spin = false
+smooth = true
+case = eta
+"""

@@ -205,8 +205,9 @@ def test_criterion_3_k_theory_closed_forms():
     branches = 0
     for d0 in random_suite():
         for variant in shape_variants(d0):
-            assert k_group(variant).group == k_closed_form(variant), variant
-            assert ko_group(variant).group == ko_closed_form(variant), variant
+            double = double_suspension_decomposition(variant)
+            assert k_group(variant, double).group == k_closed_form(variant), variant
+            assert ko_group(variant, double).group == ko_closed_form(variant), variant
             branches += 1
     elapsed = time.monotonic() - start
     print(
@@ -217,11 +218,11 @@ def test_criterion_3_k_theory_closed_forms():
 
 def test_criterion_4_cohomotopy_crosscheck():
     for name, d0, _ in SUITE:
-        assert pi4_sigma_crosscheck(d0).group == pi3(d0), name
+        assert pi4_sigma_crosscheck(suspension_decomposition(d0)).group == pi3(d0), name
     # Exponent-one lift: the extra cyclic factor Z/2^(r-1) degenerates.
     edge = desc(1, 1, T="Z/2", spin=False, case=AttachCase("tilde_eta", 0))
     assert pi3(edge) == G("Z + Z/2")
-    assert pi4_sigma_crosscheck(edge).group == G("Z + Z/2")
+    assert pi4_sigma_crosscheck(suspension_decomposition(edge)).group == G("Z + Z/2")
     print(
         f"ACCEPTANCE 4 (cohomotopy crosscheck): PASS"
         f" ({len(SUITE)} descriptors plus exponent-one edge)"

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susp5
-from helpers import random_descriptor
+from helpers import THREE_PRIMARY_ETA, random_descriptor
+from susp5 import cli, decompose, invariants
+from susp5.abgroup import FgAbGroup
 from susp5.cli import (
     ParseError,
     RunConfig,
@@ -25,6 +27,7 @@ from susp5.cli import (
     run,
 )
 from susp5.reduction import AttachCase
+from susp5.spaces import ElementaryComplex
 
 MINIMAL = "l = 1\nd = 1\nspin = true\n"
 
@@ -231,13 +234,6 @@ def test_structured_output_is_byte_stable():
     assert report["checks"]["cohomotopy_crosscheck"] == "ok"
 
 
-def test_inject_fault_exits_nonzero():
-    buf = io.StringIO()
-    code = run(RunConfig(inject_fault=True), stdin=io.StringIO(MINIMAL), stdout=buf)
-    assert code == 1
-    assert "fail (injected fault)" in buf.getvalue()
-
-
 def test_parse_error_exit_and_stderr(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("l = x\nd = 1\nspin = true\n")
@@ -284,15 +280,48 @@ def test_three_torsion_single_vs_double_mode():
     assert report["checks"]["cohomotopy_crosscheck"].startswith("skipped")
 
 
-def test_check_none_skips_checks():
-    buf = io.StringIO()
-    code = run(
-        RunConfig(fmt="structured", check="none", inject_fault=True),
-        stdin=io.StringIO(MINIMAL),
-        stdout=buf,
-    )
-    assert code == 0
-    assert json.loads(buf.getvalue())["checks"] == {}
+# One way to break the recomputation behind each consistency check.
+_Z, _0 = FgAbGroup.free(1), FgAbGroup.trivial()
+_FAULTS = {
+    "homology_shift": (cli, "manifold_homology", lambda desc: dict.fromkeys(range(6), _0)),
+    "weight_count": (ElementaryComplex, "weight", lambda self: 0),
+    "complex_k_balance": (invariants, "k_of_summand", lambda s: _Z),
+    "real_k_balance": (invariants, "ko_of_summand", lambda s: _Z),
+    "cohomotopy_crosscheck": (invariants, "maps_to_s4", lambda s: (_Z, False)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_FAULTS))
+def test_every_check_can_fail_end_to_end(tmp_path, monkeypatch, capsys, check):
+    monkeypatch.setattr(*_FAULTS[check])
+    p = tmp_path / "m.txt"
+    p.write_text(MINIMAL)
+    assert main([str(p)]) == 1
+    assert f"  {check}: fail\n" in capsys.readouterr().out
+
+
+def test_check_none_skips_checks(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(*_FAULTS["complex_k_balance"])
+    p = tmp_path / "m.txt"
+    p.write_text(MINIMAL)
+    assert main([str(p), "--format", "structured", "--check", "none"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {}
+
+
+@pytest.mark.parametrize(
+    "text, mode", [(FULL, "single"), (THREE_PRIMARY_ETA, "double")], ids=["single", "double"]
+)
+def test_one_report_builds_the_suspension_wedge_once(monkeypatch, text, mode):
+    calls = []
+    single_parts = decompose._single_parts
+
+    def counted(desc):
+        calls.append(desc)
+        return single_parts(desc)
+
+    monkeypatch.setattr(decompose, "_single_parts", counted)
+    build_report(parse_descriptor_text(text), mode=mode)
+    assert len(calls) == 1
 
 
 def test_out_file(tmp_path):
@@ -323,6 +352,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "S^2 v S^3 v S^4 v S^5 v S^6" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["--full"]], ids=["summary", "full"])
+def test_demo_script_runs_clean(flags):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(susp5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_decompositions.py"), *flags],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if flags:
+        assert proc.stdout.count("== ") == 6 and "checks:" in proc.stdout
+        assert "fail" not in proc.stdout
+    else:
+        assert proc.stdout.splitlines()[-1] == "checks: all ok"
 
 
 # A complex K-theory table that is wrong on spheres; the balance check

@@ -2,14 +2,17 @@
 
 tests/golden/<name>.<mode>.json holds the `--format structured` output of
 scripts/descriptors/<name>.txt in that mode, as written by the release the
-files were recorded from.  A refactor must leave every byte unchanged; a
-deliberate output change rewrites the files and says so.
+files were recorded from.  three_primary_eta.double.json does the same for
+helpers.THREE_PRIMARY_ETA, the one report path where the double suspension
+is built without the single one.  A refactor must leave every byte
+unchanged; a deliberate output change rewrites the files and says so.
 """
 import io
 from pathlib import Path
 
 import pytest
 
+from helpers import THREE_PRIMARY_ETA
 from susp5.cli import RunConfig, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +23,7 @@ DESCRIPTORS = sorted((ROOT / "scripts" / "descriptors").glob("*.txt"))
 def test_every_descriptor_has_golden_files():
     assert len(DESCRIPTORS) == 6
     expected = {f"{p.stem}.{m}.json" for p in DESCRIPTORS for m in ("single", "double")}
+    expected.add("three_primary_eta.double.json")
     assert {p.name for p in GOLDEN.glob("*.json")} == expected
 
 
@@ -30,3 +34,12 @@ def test_structured_output_matches_golden(path, mode):
     code = run(RunConfig(paths=(str(path),), mode=mode, fmt="structured"), stdout=out)
     assert code == 0
     assert out.getvalue() == (GOLDEN / f"{path.stem}.{mode}.json").read_text(encoding="utf-8")
+
+
+def test_three_primary_double_mode_matches_golden():
+    out = io.StringIO()
+    code = run(
+        RunConfig(mode="double", fmt="structured"), stdin=io.StringIO(THREE_PRIMARY_ETA), stdout=out
+    )
+    assert code == 0
+    assert out.getvalue() == (GOLDEN / "three_primary_eta.double.json").read_text(encoding="utf-8")

@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from helpers import random_descriptor
 from susp5.abgroup import FgAbGroup
-from susp5.decompose import ManifoldDescriptor
+from susp5.decompose import (
+    ManifoldDescriptor,
+    double_suspension_decomposition,
+    suspension_decomposition,
+)
 from susp5.invariants import (
+    BalanceError,
     UnsupportedSummand,
     hurewicz_cohomotopy,
     k_closed_form,
@@ -115,21 +120,50 @@ def test_s4_table_entries():
         maps_to_s4(sphere(7))
 
 
+def K(d0):
+    return k_group(d0, double_suspension_decomposition(d0))
+
+
+def KO(d0):
+    return ko_group(d0, double_suspension_decomposition(d0))
+
+
 def test_k_group_examples():
-    assert k_group(desc()).group == G("Z^2")
-    assert k_group(desc(H="Z/5 + Z/7")).group == G("Z^2 + Z/5 + Z/5 + Z/7 + Z/7")
-    comp = k_group(desc(l=2, d=3, T="Z/4 + Z/9"))
+    assert K(desc()).group == G("Z^2")
+    assert K(desc(H="Z/5 + Z/7")).group == G("Z^2 + Z/5 + Z/5 + Z/7 + Z/7")
+    comp = K(desc(l=2, d=3, T="Z/4 + Z/9"))
     assert comp.group == G("Z^5")
 
 
 def test_ko_group_examples():
-    assert ko_group(desc()).group == G("Z + Z/2 + Z/2")
-    comp = ko_group(desc(l=2, d=1, T="Z/2 + Z/4 + Z/8 + Z/9"))
+    assert KO(desc()).group == G("Z + Z/2 + Z/2")
+    comp = KO(desc(l=2, d=1, T="Z/2 + Z/4 + Z/8 + Z/9"))
     assert comp.group == G("Z^2").direct_sum(FgAbGroup.from_primary(0, [(2, 1)] * 6))
 
 
+def test_k_and_ko_reject_the_double_suspension_of_another_descriptor():
+    # the wedge is trusted only as far as its groups match the closed forms
+    d1, d2 = desc(), desc(H="Z/5", T="Z/2")
+    wrong = double_suspension_decomposition(d2)
+    assert k_closed_form(d1) != k_closed_form(d2)
+    assert ko_closed_form(d1) != ko_closed_form(d2)
+    with pytest.raises(BalanceError):
+        k_group(d1, wrong)
+    with pytest.raises(BalanceError):
+        ko_group(d1, wrong)
+
+
+def test_k_group_rejects_the_single_suspension():
+    # C^5_r and the top piece have K-table entries only one dimension up
+    d0 = desc(
+        l=2, T="Z/4", spin=False, c2=1, consumed=(0,), case=AttachCase("ip_tilde_eta", 0)
+    )
+    with pytest.raises(UnsupportedSummand):
+        k_group(d0, suspension_decomposition(d0))
+
+
 def test_k_group_trace_lists_every_summand():
-    comp = k_group(desc(H="Z/5"))
+    comp = K(desc(H="Z/5"))
     rendered = [c.summand.render() for c in comp.contributions]
     assert "P^4(Z/5)" in rendered and "P^6(Z/5)" in rendered
     assert len(rendered) == len(set(rendered)) or len(rendered) >= 5
@@ -172,19 +206,19 @@ def test_pi3_consumed_moore_bumps_exponent():
 @given(st.integers(0, 10**9))
 def test_crosscheck_matches_closed_form(seed):
     d0 = random_descriptor(random.Random(seed), h1_primes=(5, 7))
-    assert pi4_sigma_crosscheck(d0).group == pi3(d0)
+    assert pi4_sigma_crosscheck(suspension_decomposition(d0)).group == pi3(d0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_k_and_ko_balance_on_random_descriptors(seed):
     d0 = random_descriptor(random.Random(seed))
-    assert k_group(d0).group == k_closed_form(d0)
-    assert ko_group(d0).group == ko_closed_form(d0)
+    assert K(d0).group == k_closed_form(d0)
+    assert KO(d0).group == ko_closed_form(d0)
 
 
 def test_crosscheck_marks_implied_entries():
-    comp = pi4_sigma_crosscheck(desc(H="Z/5"))
+    comp = pi4_sigma_crosscheck(suspension_decomposition(desc(H="Z/5")))
     implied = [c.summand.render() for c in comp.contributions if c.implied]
     assert implied == ["P^3(Z/5)", "P^5(Z/5)"]
 
