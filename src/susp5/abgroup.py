@@ -211,7 +211,7 @@ class FgAbGroup:
         return cls.from_orders(orders + [0] * (m - len(orders)))
 
     _TERM = re.compile(
-        r"^(?:0|Z(?:\^(?P<rank>\d+))?|Z/(?P<base>\d+)(?:\^(?P<exp>\d+))?)$"
+        r"^(?:0|Z(?:\^(?P<rank>[0-9]+))?|Z/(?P<base>[0-9]+)(?:\^(?P<exp>[0-9]+))?)$"
     )
 
     @classmethod

@@ -88,9 +88,9 @@ _SCALAR_KEYS = (
     "case",
 )
 _INVARIANT_ROUTE_KEYS = ("c1", "c2", "consumed", "case")
-_CASE_RE = re.compile(r"(ip_tilde_eta|tilde_eta|i_eta_sq|eta_sq|eta|null)(?:\((\d+)\))?")
-_MOORE_ROW_RE = re.compile(r"moore\s+r=(\d+)\s*=\s*(.*)")
-_CONSUMED_RE = re.compile(r"\[\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
+_CASE_RE = re.compile(r"(ip_tilde_eta|tilde_eta|i_eta_sq|eta_sq|eta|null)(?:\(([0-9]+)\))?")
+_MOORE_ROW_RE = re.compile(r"moore\s+r=([0-9]+)\s*=\s*(.*)")
+_CONSUMED_RE = re.compile(r"\[\s*((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\]")
 
 
 class _Parser:
@@ -189,7 +189,7 @@ class _Parser:
         for tok in text.split():
             if tok in vocab:
                 out.append(vocab[tok])
-            elif re.fullmatch(r"-?\d+", tok):
+            elif re.fullmatch(r"-?[0-9]+", tok):
                 self.error("range", f"entry {tok!r} not allowed here (use {allowed})", lineno, 1)
             else:
                 self.error("syntax", f"unknown entry {tok!r} (use {allowed})", lineno, 1)
@@ -201,7 +201,7 @@ class _Parser:
 
     def _int(self, key: str) -> int:
         value, line, col = self.scalars[key]
-        if re.fullmatch(r"-?\d+", value) is None:
+        if re.fullmatch(r"-?[0-9]+", value) is None:
             self.error("syntax", f"{key} must be an integer", line, col)
         n = int(value)
         if n < 0:
@@ -308,7 +308,7 @@ class _Parser:
             )
         except AttachingDataError as exc:
             self.error("consistency", str(exc))
-        phi = None
+        phi = red = None
         if self.saw_phi:
             red = reduce_h_matrix(h)
             exps = h.moore_exponents
@@ -338,7 +338,7 @@ class _Parser:
                 consumed_exponents=tuple(exps[j] for j in red.consumed),
             )
         try:
-            return resolve_attaching_data(h_matrix=h, phi=phi, **common)
+            return resolve_attaching_data(h_matrix=h, phi=phi, reduction=red, **common)
         except (AttachingDataError, DescriptorError) as exc:
             self.error("consistency", str(exc))
 

@@ -24,6 +24,7 @@ from susp5.reduction import (
     AttachingDataError,
     HMatrix,
     PhiVector,
+    ReductionResult,
     reduce_h_matrix,
     reduce_phi,
 )
@@ -268,9 +269,13 @@ def resolve_attaching_data(
     smooth: bool,
     h_matrix: HMatrix,
     phi: PhiVector | None = None,
+    reduction: ReductionResult | None = None,
 ) -> ManifoldDescriptor:
     """Build a descriptor from an eta incidence matrix and an optional
-    residual attaching vector (shapes must match the reduced matrix)."""
+    residual attaching vector (shapes must match the reduced matrix).
+
+    A caller that has already sized phi from reduce_h_matrix(h_matrix)
+    passes that result as reduction, so the matrix is reduced once."""
     exps = h2_torsion.primary_exponents(2)
     t2 = len(exps)
     if len(h_matrix.sphere_rows) != d:
@@ -282,7 +287,7 @@ def resolve_attaching_data(
     if h_matrix.num_columns != l:
         raise AttachingDataError("h_matrix needs one column per source class")
 
-    res = reduce_h_matrix(h_matrix)
+    res = reduction if reduction is not None else reduce_h_matrix(h_matrix)
     c1, c2, consumed = res.c1, res.c2, res.consumed
     unconsumed = tuple(j for j in range(t2) if j not in consumed)
 

@@ -214,7 +214,6 @@ def pi3(desc: ManifoldDescriptor) -> FgAbGroup:
     case = desc.case
     exps = desc.two_primary_exponents
     two_rank = desc.l - desc.c1 - desc.c2 + (1 if case.kind == "null" else 0)
-    assert two_rank >= 0
     drop = case.index if case.kind in ("tilde_eta", "i_eta_sq") else None
     parts = [
         FgAbGroup.free(desc.d),

@@ -17,7 +17,9 @@ Two layers:
 
 enumerate_orbit and enumerate_phi_orbit run breadth-first searches over
 all legal single moves; they exist to cross-check the greedy normal forms
-on small instances.
+on small instances.  The searches run over plain hashable states (rows
+packed into bitmasks, phi components as tuples) through _h_moves and
+_phi_moves, the one move table; legal_moves and phi_moves unpack it.
 """
 from __future__ import annotations
 
@@ -72,6 +74,47 @@ def _with_rows(h: HMatrix, sphere=None, moore=None) -> HMatrix:
     )
 
 
+def _pack_rows(h: HMatrix) -> tuple[int, ...]:
+    """Rows of h as bitmasks, sphere rows first; bit c is column c."""
+    return tuple(
+        sum(v << c for c, v in enumerate(row)) for row in h.sphere_rows + h.moore_rows
+    )
+
+
+def _unpack_rows(h: HMatrix, rows: tuple[int, ...]) -> HMatrix:
+    """The matrix of h's shape whose packed rows are rows."""
+    bits = [tuple((m >> c) & 1 for c in range(h.num_columns)) for m in rows]
+    d = len(h.sphere_rows)
+    return HMatrix(tuple(bits[:d]), tuple(bits[d:]), h.moore_exponents)
+
+
+def _h_moves(rows: tuple[int, ...], d: int, exps: tuple[int, ...], cols: int) -> list:
+    """Packed form of legal_moves: rows[:d] are sphere rows, rows[d:] Moore
+    rows of exponents exps, each a bitmask over cols columns."""
+    out = []
+    n = len(rows)
+
+    def added(target, source):
+        return rows[:target] + (rows[target] ^ rows[source],) + rows[target + 1 :]
+
+    for i in range(d):
+        for k in range(d):
+            if i != k:
+                out.append(added(i, k))
+    for c in range(cols):
+        for c2 in range(cols):
+            if c != c2:
+                out.append(tuple(r ^ (((r >> c2) & 1) << c) for r in rows))
+    for j in range(d, n):
+        for k in range(d):
+            out.append(added(j, k))
+    for j in range(d, n):
+        for k in range(d, n):
+            if j != k and exps[j - d] >= exps[k - d]:
+                out.append(added(k, j))
+    return out
+
+
 def legal_moves(h: HMatrix) -> list[HMatrix]:
     """All states reachable from h by one elementary wedge automorphism.
 
@@ -81,54 +124,30 @@ def legal_moves(h: HMatrix) -> list[HMatrix]:
     Moore row adds onto another only when its exponent is at least as large
     (B(chi) transports i eta with unit coefficient exactly then).
     """
-    out = []
-    sph = [list(r) for r in h.sphere_rows]
-    moo = [list(r) for r in h.moore_rows]
-    d, t, cols = len(sph), len(moo), h.num_columns
-
-    for i in range(d):
-        for k in range(d):
-            if i != k:
-                rows = [row[:] for row in sph]
-                rows[i] = list(_xor(rows[i], sph[k]))
-                out.append(_with_rows(h, sphere=rows))
-    for c in range(cols):
-        for c2 in range(cols):
-            if c == c2:
-                continue
-            s2 = [row[:] for row in sph]
-            m2 = [row[:] for row in moo]
-            for row in s2 + m2:
-                row[c] = (row[c] + row[c2]) % 2
-            out.append(_with_rows(h, sphere=s2, moore=m2))
-    for j in range(t):
-        for k in range(d):
-            m2 = [row[:] for row in moo]
-            m2[j] = list(_xor(m2[j], sph[k]))
-            out.append(_with_rows(h, moore=m2))
-    for j in range(t):
-        for k in range(t):
-            if j != k and h.moore_exponents[j] >= h.moore_exponents[k]:
-                m2 = [row[:] for row in moo]
-                m2[k] = list(_xor(m2[k], moo[j]))
-                out.append(_with_rows(h, moore=m2))
-    return out
+    moves = _h_moves(_pack_rows(h), len(h.sphere_rows), h.moore_exponents, h.num_columns)
+    return [_unpack_rows(h, rows) for rows in moves]
 
 
-def enumerate_orbit(h: HMatrix, limit: int = 200_000) -> set[HMatrix]:
-    """Closure of h under legal moves (each move has finite order, so the
-    reachable set is the full orbit)."""
-    seen = {h}
-    queue = deque([h])
+def _closure(start, moves, limit: int) -> set:
+    """Breadth-first closure of start under moves(state) -> list of states."""
+    seen = {start}
+    queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for nxt in legal_moves(cur):
+        for nxt in moves(queue.popleft()):
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise RuntimeError("orbit exceeds enumeration limit")
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def enumerate_orbit(h: HMatrix, limit: int = 200_000) -> set[HMatrix]:
+    """Closure of h under legal moves (each move has finite order, so the
+    reachable set is the full orbit).  The search runs over packed rows."""
+    d, exps, cols = len(h.sphere_rows), h.moore_exponents, h.num_columns
+    orbit = _closure(_pack_rows(h), lambda rows: _h_moves(rows, d, exps, cols), limit)
+    return {_unpack_rows(h, rows) for rows in orbit}
 
 
 @dataclass(frozen=True)
@@ -330,6 +349,87 @@ def _b_transport(ck: int, rk: int, rj: int) -> int:
     return dz + 2 * de
 
 
+def _phi_moves(state, R: tuple[int, ...], S: tuple[int, ...]) -> list:
+    """Packed form of phi_moves on state = (x, y, moore, w), with Moore
+    exponents R and consumed exponents S."""
+    out = []
+    X, Y, M, W = state
+
+    def toggled(vec, i):
+        return vec[:i] + (vec[i] ^ 1,) + vec[i + 1 :]
+
+    def x_(i):
+        out.append((toggled(X, i), Y, M, W))
+
+    def y_(i):
+        out.append((X, toggled(Y, i), M, W))
+
+    def m_(j, delta):
+        out.append((X, Y, M[:j] + (_slot_add(M[j], R[j], delta),) + M[j + 1 :], W))
+
+    def w_(j):
+        out.append((X, Y, M, toggled(W, j)))
+
+    for k in range(len(X)):
+        if not X[k]:
+            continue
+        for i in range(len(X)):
+            if i != k:
+                x_(i)  # identity shear among three-spheres
+        for j in range(len(M)):
+            m_(j, 2)  # bottom inclusion sends eta^2 up
+    for k in range(len(Y)):
+        if not Y[k]:
+            continue
+        for i in range(len(Y)):
+            if i != k:
+                y_(i)  # identity shear among four-spheres
+        for i in range(len(X)):
+            x_(i)  # eta carries eta to eta^2
+        for j in range(len(M)):
+            m_(j, 2)  # i eta carries eta to i eta^2
+    for k in range(len(M)):
+        if M[k] % 2:
+            for i in range(len(Y)):
+                y_(i)  # pinch carries the lift to eta
+            for i in range(len(X)):
+                x_(i)  # eta pinch carries the lift to eta^2
+            for j in range(len(W)):
+                if S[j] >= R[k]:
+                    w_(j)  # i_P B(chi) into a consumed piece
+        for j in range(len(M)):
+            if M[k] % 2:
+                m_(j, 2)  # i eta q, slot onto itself included
+            if j != k:
+                delta = _b_transport(M[k], R[k], R[j])
+                if delta:
+                    m_(j, delta)
+    for k in range(len(W)):
+        if not W[k]:
+            continue
+        for i in range(len(X)):
+            x_(i)  # eta q xi-bar route down to eta^2
+        for i in range(len(Y)):
+            y_(i)  # q xi-bar route down to eta
+        for j in range(len(M)):
+            m_(j, 2)  # i eta q xi-bar route
+            if R[j] > S[k]:
+                m_(j, 1)  # B(chi) xi-bar lands on the lift
+        for j in range(len(W)):
+            if j != k and S[j] >= S[k]:
+                w_(j)
+    return out
+
+
+def _phi_state(phi: PhiVector):
+    return phi.x, phi.y, phi.moore, phi.w
+
+
+def _phi_from_state(phi: PhiVector, state) -> PhiVector:
+    x, y, moore, w = state
+    return PhiVector(x, y, moore, phi.moore_exponents, w, phi.consumed_exponents)
+
+
 def phi_moves(phi: PhiVector) -> list[PhiVector]:
     """All states reachable from phi by one elementary shear.
 
@@ -339,94 +439,14 @@ def phi_moves(phi: PhiVector) -> list[PhiVector]:
     Moore slots, B(chi) between Moore slots, and the xi-bar and i_P
     composites in and out of the consumed two-stage pieces.
     """
-    out = []
-    X, Y, M, W = phi.x, phi.y, phi.moore, phi.w
-    R, S = phi.moore_exponents, phi.consumed_exponents
-
-    def with_(x=None, y=None, m=None, w=None):
-        out.append(
-            replace(
-                phi,
-                x=tuple(x) if x is not None else X,
-                y=tuple(y) if y is not None else Y,
-                moore=tuple(m) if m is not None else M,
-                w=tuple(w) if w is not None else W,
-            )
-        )
-
-    def toggled(vec, i):
-        lst = list(vec)
-        lst[i] ^= 1
-        return lst
-
-    for k in range(len(X)):
-        if not X[k]:
-            continue
-        for i in range(len(X)):
-            if i != k:
-                with_(x=toggled(X, i))  # identity shear among three-spheres
-        for j in range(len(M)):
-            with_(m=_slot_set(M, R, j, 2))  # bottom inclusion sends eta^2 up
-    for k in range(len(Y)):
-        if not Y[k]:
-            continue
-        for i in range(len(Y)):
-            if i != k:
-                with_(y=toggled(Y, i))  # identity shear among four-spheres
-        for i in range(len(X)):
-            with_(x=toggled(X, i))  # eta carries eta to eta^2
-        for j in range(len(M)):
-            with_(m=_slot_set(M, R, j, 2))  # i eta carries eta to i eta^2
-    for k in range(len(M)):
-        if M[k] % 2:
-            for i in range(len(Y)):
-                with_(y=toggled(Y, i))  # pinch carries the lift to eta
-            for i in range(len(X)):
-                with_(x=toggled(X, i))  # eta pinch carries the lift to eta^2
-            for j in range(len(W)):
-                if S[j] >= R[k]:
-                    with_(w=toggled(W, j))  # i_P B(chi) into a consumed piece
-        for j in range(len(M)):
-            if M[k] % 2:
-                with_(m=_slot_set(M, R, j, 2))  # i eta q, slot onto itself included
-            if j != k:
-                delta = _b_transport(M[k], R[k], R[j])
-                if delta:
-                    with_(m=_slot_set(M, R, j, delta))
-    for k in range(len(W)):
-        if not W[k]:
-            continue
-        for i in range(len(X)):
-            with_(x=toggled(X, i))  # eta q xi-bar route down to eta^2
-        for i in range(len(Y)):
-            with_(y=toggled(Y, i))  # q xi-bar route down to eta
-        for j in range(len(M)):
-            with_(m=_slot_set(M, R, j, 2))  # i eta q xi-bar route
-            if R[j] > S[k]:
-                with_(m=_slot_set(M, R, j, 1))  # B(chi) xi-bar lands on the lift
-        for j in range(len(W)):
-            if j != k and S[j] >= S[k]:
-                with_(w=toggled(W, j))
-    return out
-
-
-def _slot_set(m, r, j, delta):
-    lst = list(m)
-    lst[j] = _slot_add(lst[j], r[j], delta)
-    return lst
+    moves = _phi_moves(_phi_state(phi), phi.moore_exponents, phi.consumed_exponents)
+    return [_phi_from_state(phi, state) for state in moves]
 
 
 def enumerate_phi_orbit(phi: PhiVector, limit: int = 500_000) -> set[PhiVector]:
     """Closure of phi under elementary shears (again a full orbit: every
-    move fixes its source component, so repeating it inverts it)."""
-    seen = {phi}
-    queue = deque([phi])
-    while queue:
-        cur = queue.popleft()
-        for nxt in phi_moves(cur):
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise RuntimeError("orbit exceeds enumeration limit")
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    move fixes its source component, so repeating it inverts it).  The
+    search runs over (x, y, moore, w) tuples."""
+    R, S = phi.moore_exponents, phi.consumed_exponents
+    orbit = _closure(_phi_state(phi), lambda state: _phi_moves(state, R, S), limit)
+    return {_phi_from_state(phi, state) for state in orbit}

@@ -146,6 +146,12 @@ class TestCanonicalForm:
             with pytest.raises(ValueError):
                 FgAbGroup.from_string(bad)
 
+    def test_non_ascii_digits_rejected(self):
+        # int() would read these as 2 and 1; group literals take 0-9 only.
+        for bad in ("Z/\u0662", "Z^\u0661", "Z/2^\u0663"):
+            with pytest.raises(ValueError, match="bad group term"):
+                FgAbGroup.from_string(bad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())

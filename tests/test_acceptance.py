@@ -233,7 +233,9 @@ def test_criterion_5_exhaustive_matrix_reduction():
     start = time.monotonic()
     orbit_count = 0
     state_count = 0
+    orbits_per_cols = {}
     for cols in (1, 2, 3):
+        orbits_per_cols[cols] = 0
         all_rows = list(product((0, 1), repeat=cols))
         for nsphere in range(4):
             for nmoore in range(4 - nsphere):
@@ -252,16 +254,25 @@ def test_criterion_5_exhaustive_matrix_reduction():
                             outcomes = set()
                             for member in orbit:
                                 res = reduce_h_matrix(member)
-                                outcomes.add((res.c1, res.c2))
+                                consumed_exps = tuple(sorted(exps[j] for j in res.consumed))
+                                outcomes.add((res.c1, res.c2, consumed_exps))
                                 assert res.c1 == f2_rank(member.sphere_rows)
+                                # The greedy normal form only makes legal moves.
+                                assert res.reduced in orbit, member
+                            # (c1, c2) and the consumed exponents are invariants.
                             assert len(outcomes) == 1, h
-                            c1, c2 = outcomes.pop()
+                            c1, c2, _ = outcomes.pop()
                             assert 0 <= c1 <= min(cols, nsphere)
                             assert 0 <= c2 <= min(cols - c1, nmoore)
                             orbit_count += 1
+                            orbits_per_cols[cols] += 1
                     # Orbits partition the full state space.
                     assert len(seen) == len(all_rows) ** (nsphere + nmoore)
     elapsed = time.monotonic() - start
+    # A search that returned orbits too small would still partition the
+    # states and pass the invariance asserts; the counts pin the orbits.
+    assert orbits_per_cols == {1: 171, 2: 272, 3: 312}
+    assert (orbit_count, state_count) == (755, 24_508)
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE 5 (exhaustive matrix reduction): PASS"
@@ -361,6 +372,8 @@ def test_criterion_6_exhaustive_attachment_normal_form():
                     orbit_count += 1
                 assert len(seen) == 2 ** (a + b + c) * 4 ** u
     elapsed = time.monotonic() - start
+    # Pins the orbit sizes, which the partition assert alone does not.
+    assert (orbit_count, state_count) == (2_309, 23_378)
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE 6 (exhaustive attachment normal form): PASS"

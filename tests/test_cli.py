@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import susp5
 from helpers import THREE_PRIMARY_ETA, random_descriptor
-from susp5 import cli, decompose, invariants
+from susp5 import cli, decompose, invariants, reduction
 from susp5.abgroup import FgAbGroup
 from susp5.cli import (
     ParseError,
@@ -122,6 +122,55 @@ z = 1
 """
     desc = parse_descriptor_text(text)
     assert desc.case == AttachCase("tilde_eta", 0, 2)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_example() -> str:
+    """The chain-level descriptor of README's command-line section."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("# example.txt")
+    return text[start : text.index("```", start)]
+
+
+def test_chain_level_file_is_reduced_once(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return reduction.reduce_h_matrix(h)
+
+    monkeypatch.setattr(cli, "reduce_h_matrix", counted)
+    monkeypatch.setattr(decompose, "reduce_h_matrix", counted)
+    desc = parse_descriptor_text(_readme_example())
+    assert desc.case == AttachCase("tilde_eta", 0, 2)
+    assert len(calls) == 1
+
+
+def test_mis_sized_phi_row_is_located():
+    text = _readme_example().replace("z = 1", "z = 1 0")
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(text, source="example.txt")
+    err = ei.value
+    assert (err.kind, err.line, err.column) == ("consistency", 13, 1)
+    assert str(err) == (
+        "example.txt:13:1: consistency error: phi component 'z' needs 1 entries here"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("l = \u0661\nd = 1\nspin = true\n", 1), ("l = 1\nd = 1\nspin = true\nT = Z/\u0662\n", 4)],
+    ids=["arabic-indic-l", "arabic-indic-T"],
+)
+def test_non_ascii_digits_are_located_parse_errors(tmp_path, text, line):
+    # int() accepts any Unicode decimal digit; the descriptor format only 0-9.
+    p = tmp_path / "digits.txt"
+    p.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    assert run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err) == 2
+    assert err.getvalue().startswith(f"{p}:{line}:5: syntax error: ")
 
 
 def test_syntax_error_kind_line_and_source():

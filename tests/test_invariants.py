@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import random_descriptor
 from susp5.abgroup import FgAbGroup
 from susp5.decompose import (
+    DescriptorError,
     ManifoldDescriptor,
     double_suspension_decomposition,
     suspension_decomposition,
@@ -200,6 +201,14 @@ def test_pi3_i_eta_sq_bumps_exponent():
 def test_pi3_consumed_moore_bumps_exponent():
     d0 = desc(l=2, T="Z/4 + Z/3", c2=1, consumed=(0,))
     assert pi3(d0) == G("Z + Z/2 + Z/2 + Z/3 + Z/8")
+
+
+def test_c2_beyond_l_minus_c1_is_rejected():
+    # pi3 counts l - c1 - c2 Z/2 summands (one more in the null case); this
+    # rejection is what keeps that count non-negative.
+    with pytest.raises(DescriptorError, match="c2 must satisfy"):
+        desc(T="Z/2", c1=1, c2=1)
+    assert pi3(desc(T="Z/2", c2=1)) == G("Z + Z/2 + Z/4")
 
 
 @settings(max_examples=150, deadline=None)

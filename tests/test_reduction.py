@@ -126,6 +126,39 @@ def test_moore_move_legality():
         assert member.moore_rows[0] == (1,)  # the high class is never absorbed
 
 
+def test_legal_moves_list_in_table_order():
+    # one sphere row, one Moore row, two columns: no row shear among
+    # spheres, then the column moves 0 += 1 and 1 += 0, then the sphere
+    # row onto the Moore row; the list keeps repeats
+    h = H([[1, 0]], [[0, 1]], [1])
+    assert legal_moves(h) == [
+        H([[1, 0]], [[1, 1]], [1]),
+        H([[1, 1]], [[0, 1]], [1]),
+        H([[1, 0]], [[1, 1]], [1]),
+    ]
+
+
+def test_orbit_limit():
+    h = H([[1, 1], [0, 1]], [[1, 0]], [2])
+    size = len(enumerate_orbit(h))
+    assert len(enumerate_orbit(h, limit=size)) == size
+    with pytest.raises(RuntimeError, match="enumeration limit"):
+        enumerate_orbit(h, limit=size - 1)
+
+
+def test_orbit_members_are_validated(monkeypatch):
+    built = set()
+    post_init = HMatrix.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        built.add(id(self))
+
+    monkeypatch.setattr(HMatrix, "__post_init__", recorded)
+    orbit = enumerate_orbit(H([[1, 1], [0, 1]], [[1, 0]], [2]))
+    assert all(id(member) in built for member in orbit)
+
+
 # -- residual attaching vector ------------------------------------------------
 
 
@@ -251,6 +284,37 @@ def test_phi_moves_fix_source_components():
             )
         )
         assert diffs == 1
+
+
+def test_phi_moves_list_in_table_order():
+    # y carries eta to eta^2 on x and i eta^2 on the slot; the odd slot
+    # value pinches to y and to x, and adds i eta^2 onto itself
+    p = phi(x=(0,), y=(1,), moore=(1,), exps=(2,))
+    assert phi_moves(p) == [
+        phi(x=(1,), y=(1,), moore=(1,), exps=(2,)),
+        phi(x=(0,), y=(1,), moore=(3,), exps=(2,)),
+        phi(x=(0,), y=(0,), moore=(1,), exps=(2,)),
+        phi(x=(1,), y=(1,), moore=(1,), exps=(2,)),
+        phi(x=(0,), y=(1,), moore=(3,), exps=(2,)),
+    ]
+
+
+def test_phi_orbit_limit_and_validation(monkeypatch):
+    p = phi(y=(1,), moore=(1, 2), exps=(2, 3), w=(1,), cons=(2,))
+    size = len(enumerate_phi_orbit(p))
+    with pytest.raises(RuntimeError, match="enumeration limit"):
+        enumerate_phi_orbit(p, limit=size - 1)
+    built = set()
+    post_init = PhiVector.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        built.add(id(self))
+
+    monkeypatch.setattr(PhiVector, "__post_init__", recorded)
+    orbit = enumerate_phi_orbit(p, limit=size)
+    assert len(orbit) == size
+    assert all(id(member) in built for member in orbit)
 
 
 # -- slot arithmetic against the map calculus ---------------------------------
