@@ -8,11 +8,18 @@ canonical form is isomorphism and nothing is ever compared "up to extension".
 """
 from __future__ import annotations
 
-import math
+import functools
 import re
 from dataclasses import dataclass
 
 Matrix = list[list[int]]
+
+# Torsion orders in group literals must lie below this.
+ORDER_BOUND = 2**64
+
+
+class OrderRangeError(ValueError):
+    """A group literal names a torsion order of ORDER_BOUND or more."""
 
 
 def _identity(n: int) -> Matrix:
@@ -118,8 +125,14 @@ def smith_normal_form(a: list[list[int]] | tuple) -> tuple[Matrix, Matrix, Matri
     return d, u, v
 
 
-def _prime_power_factors(k: int) -> list[tuple[int, int]]:
-    """Factor k >= 2 into [(p, e), ...] with p ascending."""
+@functools.lru_cache(maxsize=4096)
+def _prime_power_factors(k: int) -> tuple[tuple[int, int], ...]:
+    """Factor k >= 2 into ((p, e), ...) with p ascending.
+
+    Memoised: a report validates the same few hundred primes and orders tens
+    of thousands of times, and the result is a tuple, so callers cannot
+    change what the cache holds.
+    """
     out = []
     rest = k
     p = 2
@@ -133,7 +146,22 @@ def _prime_power_factors(k: int) -> list[tuple[int, int]]:
         p += 1 if p == 2 else 2
     if rest > 1:
         out.append((rest, 1))
-    return out
+    return tuple(out)
+
+
+def _literal_order(base_digits: str, exp_digits: str) -> int:
+    """base ** exp from a literal's digits, or ORDER_BOUND if it would be at
+    least that.  The digit counts settle the large cases first, so a literal
+    like Z/2^99999999999 never forms its power.
+
+    >>> _literal_order("2", "63") == 2**63, _literal_order("2", "64") == ORDER_BOUND
+    (True, True)
+    """
+    base = int(base_digits) if len(base_digits.lstrip("0")) <= 20 else ORDER_BOUND
+    exp = int(exp_digits) if len(exp_digits.lstrip("0")) <= 2 else 64
+    if base >= 2 and exp >= 64:
+        return ORDER_BOUND
+    return min(base**exp, ORDER_BOUND)
 
 
 @dataclass(frozen=True)
@@ -158,7 +186,7 @@ class FgAbGroup:
         if list(self.torsion) != sorted(self.torsion):
             raise ValueError("torsion summands must be sorted by (prime, exponent)")
         for p, e in self.torsion:
-            if e < 1 or p < 2 or _prime_power_factors(p) != [(p, 1)]:
+            if e < 1 or p < 2 or _prime_power_factors(p) != ((p, 1),):
                 raise ValueError(f"not a prime power summand: ({p}, {e})")
 
     # -- constructors ------------------------------------------------------
@@ -232,7 +260,9 @@ class FgAbGroup:
             if term == "0":
                 continue
             if m.group("base") is not None:
-                k = int(m.group("base")) ** int(m.group("exp") or 1)
+                k = _literal_order(m.group("base"), m.group("exp") or "1")
+                if k >= ORDER_BOUND:
+                    raise OrderRangeError(f"torsion order {term!r} is not below 2^64")
                 if k < 2:
                     raise ValueError(f"bad torsion order in {term!r}")
                 orders.append(k)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import NoReturn
 
-from susp5.abgroup import FgAbGroup
+from susp5.abgroup import FgAbGroup, OrderRangeError
 from susp5.decompose import (
     DecompositionError,
     DescriptorError,
@@ -220,6 +220,8 @@ class _Parser:
         value, line, col = self.scalars[key]
         try:
             return FgAbGroup.from_string(value)
+        except OrderRangeError as exc:
+            self.error("range", f"bad group literal for {key}: {exc}", line, col)
         except ValueError as exc:
             self.error("syntax", f"bad group literal for {key}: {exc}", line, col)
 

@@ -24,7 +24,7 @@ _phi_moves, the one move table; legal_moves and phi_moves unpack it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class AttachingDataError(ValueError):
@@ -44,11 +44,12 @@ class HMatrix:
     moore_exponents: tuple[int, ...]
 
     def __post_init__(self):
-        rows = list(self.sphere_rows) + list(self.moore_rows)
+        rows = (*self.sphere_rows, *self.moore_rows)
         if len({len(r) for r in rows}) > 1:
             raise AttachingDataError("rows of unequal length")
         for row in rows:
-            if any(v not in (0, 1) for v in row):
+            # count() compares with ==, as `in (0, 1)` does: True and 1.0 pass
+            if row.count(0) + row.count(1) != len(row):
                 raise AttachingDataError("matrix entries must be 0 or 1")
         if len(self.moore_exponents) != len(self.moore_rows):
             raise AttachingDataError("one exponent per Moore row required")
@@ -62,22 +63,10 @@ class HMatrix:
         return 0
 
 
-def _xor(a, b):
-    return tuple((u + v) % 2 for u, v in zip(a, b))
-
-
-def _with_rows(h: HMatrix, sphere=None, moore=None) -> HMatrix:
-    return replace(
-        h,
-        sphere_rows=tuple(map(tuple, sphere)) if sphere is not None else h.sphere_rows,
-        moore_rows=tuple(map(tuple, moore)) if moore is not None else h.moore_rows,
-    )
-
-
 def _pack_rows(h: HMatrix) -> tuple[int, ...]:
     """Rows of h as bitmasks, sphere rows first; bit c is column c."""
     return tuple(
-        sum(v << c for c, v in enumerate(row)) for row in h.sphere_rows + h.moore_rows
+        sum(1 << c for c, v in enumerate(row) if v) for row in h.sphere_rows + h.moore_rows
     )
 
 
@@ -167,59 +156,63 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
     Moore rows claim free columns in order of decreasing exponent (ties by
     position), which keeps every clearing row-move legal; c2 counts the
     claimed pivots and `consumed` lists the claiming rows by original index.
+
+    Rows are packed as in the orbit search, so a row move is one XOR and
+    clearing a pivot row's other columns is one masked XOR on every row
+    that holds the pivot bit.
     """
-    sph = [list(r) for r in h.sphere_rows]
-    moo = [list(r) for r in h.moore_rows]
-    cols = h.num_columns
+    rows = list(_pack_rows(h))
+    d, n = len(h.sphere_rows), len(rows)
+
+    def clear_row(i: int, bit: int) -> None:
+        # column c += pivot column, for every other column c of row i
+        mask = rows[i] & ~bit
+        for k in range(n):
+            if rows[k] & bit:
+                rows[k] ^= mask
 
     pivots: list[tuple[int, int]] = []
     pivot_rows: set[int] = set()
-    for col in range(cols):
-        pr = next(
-            (i for i in range(len(sph)) if i not in pivot_rows and sph[i][col]), None
-        )
+    for col in range(h.num_columns):
+        bit = 1 << col
+        pr = next((i for i in range(d) if i not in pivot_rows and rows[i] & bit), None)
         if pr is None:
             continue
-        pivots.append((pr, col))
+        pivots.append((pr, bit))
         pivot_rows.add(pr)
-        for i in range(len(sph)):
-            if i != pr and sph[i][col]:
-                sph[i] = list(_xor(sph[i], sph[pr]))
-    for pr, pc in pivots:
-        for c in range(cols):
-            if c != pc and sph[pr][c]:
-                for row in sph + moo:
-                    row[c] = (row[c] + row[pc]) % 2
+        for i in range(d):
+            if i != pr and rows[i] & bit:
+                rows[i] ^= rows[pr]
+    for pr, bit in pivots:
+        clear_row(pr, bit)
 
-    for j in range(len(moo)):
-        for pr, pc in pivots:
-            if moo[j][pc]:
-                moo[j] = list(_xor(moo[j], sph[pr]))
+    for j in range(d, n):
+        for pr, bit in pivots:
+            if rows[j] & bit:
+                rows[j] ^= rows[pr]
 
-    claimed = {pc for _, pc in pivots}
+    claimed = sum(bit for _, bit in pivots)
     consumed: list[int] = []
-    order = sorted(range(len(moo)), key=lambda j: (-h.moore_exponents[j], j))
+    order = sorted(range(d, n), key=lambda j: (-h.moore_exponents[j - d], j))
     for j in order:
-        col = next((c for c in range(cols) if c not in claimed and moo[j][c]), None)
-        if col is None:
+        free = rows[j] & ~claimed
+        if not free:
             continue
-        consumed.append(j)
-        claimed.add(col)
-        for k in range(len(moo)):
-            if k != j and moo[k][col]:
+        bit = free & -free  # the lowest free column
+        consumed.append(j - d)
+        claimed |= bit
+        for k in range(d, n):
+            if k != j and rows[k] & bit:
                 # processed rows are already single-pivot, so k is later in
                 # the order and has exponent at most that of j: legal move
-                moo[k] = list(_xor(moo[k], moo[j]))
-        for c in range(cols):
-            if c != col and moo[j][c]:
-                for row in sph + moo:
-                    row[c] = (row[c] + row[col]) % 2
+                rows[k] ^= rows[j]
+        clear_row(j, bit)
 
     return ReductionResult(
         c1=len(pivots),
         c2=len(consumed),
         consumed=tuple(sorted(consumed)),
-        reduced=_with_rows(h, sphere=sph, moore=moo),
+        reduced=_unpack_rows(h, tuple(rows)),
     )
 
 
@@ -249,9 +242,10 @@ class PhiVector:
     whitehead: int = 0
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.x + self.y + self.w):
+        bits, slots = self.x + self.y + self.w, self.moore
+        if bits.count(0) + bits.count(1) != len(bits):
             raise AttachingDataError("sphere and w components must be 0 or 1")
-        if any(v not in (0, 1, 2, 3) for v in self.moore):
+        if slots.count(0) + slots.count(1) + slots.count(2) + slots.count(3) != len(slots):
             raise AttachingDataError("Moore slot values must lie in 0..3")
         if len(self.moore) != len(self.moore_exponents):
             raise AttachingDataError("one exponent per Moore slot required")

@@ -8,13 +8,21 @@ the diagonal is (2, 4).
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from susp5.abgroup import FgAbGroup, direct_sum, smith_normal_form
+from susp5.abgroup import (
+    ORDER_BOUND,
+    FgAbGroup,
+    OrderRangeError,
+    _prime_power_factors,
+    direct_sum,
+    smith_normal_form,
+)
 
 
 def diag_of(d):
@@ -152,6 +160,27 @@ class TestCanonicalForm:
             with pytest.raises(ValueError, match="bad group term"):
                 FgAbGroup.from_string(bad)
 
+    def test_orders_of_2_64_or_more_are_out_of_range(self):
+        assert FgAbGroup.from_string("Z/2^63").torsion == ((2, 63),)
+        factors = (3, 5, 17, 257, 641, 65537, 6700417)  # of 2^64 - 1
+        assert FgAbGroup.from_string(f"Z/{ORDER_BOUND - 1}").torsion == tuple(
+            (p, 1) for p in factors
+        )
+        for bad in ("Z/2^64", "Z/2^40000", f"Z/{ORDER_BOUND}", "Z + Z/0003^00000000041"):
+            with pytest.raises(OrderRangeError, match="is not below 2\\^64"):
+                FgAbGroup.from_string(bad)
+
+    def test_order_range_is_decided_before_the_power(self):
+        # 3^2000000 would take 400 kB; the digit counts settle it first
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderRangeError):
+                FgAbGroup.from_string("Z/3^2000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())
@@ -190,3 +219,17 @@ class TestCanonicalForm:
         assert g.has_2_torsion and g.has_3_torsion
         assert g.primary_component(2) == FgAbGroup.from_orders([2, 8])
         assert not FgAbGroup.from_orders([5]).has_2_torsion
+
+
+def test_prime_power_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    cases = list(range(2, 20_001))
+    cases += [p**e for p in sympy.primerange(3, 2000) for e in (1, 2, 3)]
+    for k in cases:
+        got = _prime_power_factors(k)
+        assert isinstance(got, tuple)
+        assert list(got) == sorted(sympy.factorint(k).items()), k
+
+
+def test_prime_power_factor_memo_is_bounded():
+    assert _prime_power_factors.cache_info().maxsize is not None

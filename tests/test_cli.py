@@ -173,6 +173,20 @@ def test_non_ascii_digits_are_located_parse_errors(tmp_path, text, line):
     assert err.getvalue().startswith(f"{p}:{line}:5: syntax error: ")
 
 
+@pytest.mark.parametrize("term", ["T = Z/2^40000", "H = Z/2^64"])
+def test_torsion_order_of_2_64_or_more_is_a_located_range_error(tmp_path, term):
+    # unbounded, Z/2^40000 fails in rendering (int-to-str limit): exit 1, a failed check
+    p = tmp_path / "big.txt"
+    p.write_text(f"l = 1\nd = 1\nspin = true\n{term}\n", encoding="utf-8")
+    err = io.StringIO()
+    assert run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err) == 2
+    key, literal = term.split(" = ")
+    assert err.getvalue() == (
+        f"{p}:4:5: range error: bad group literal for {key}: "
+        f"torsion order {literal!r} is not below 2^64\n"
+    )
+
+
 def test_syntax_error_kind_line_and_source():
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text("l = 1\nd = 1\nspin = yes\n", source="f.txt")

@@ -4,8 +4,10 @@ tests/golden/<name>.<mode>.json holds the `--format structured` output of
 scripts/descriptors/<name>.txt in that mode, as written by the release the
 files were recorded from.  three_primary_eta.double.json does the same for
 helpers.THREE_PRIMARY_ETA, the one report path where the double suspension
-is built without the single one.  A refactor must leave every byte
-unchanged; a deliberate output change rewrites the files and says so.
+is built without the single one.  large_chain.<mode>.json holds the output
+of tests/golden/large_chain.txt, a chain-level file of corpus-large size
+(64 columns, eight Moore rows, a [phi] block).  A refactor must leave every
+byte unchanged; a deliberate output change rewrites the files and says so.
 """
 import io
 from pathlib import Path
@@ -18,12 +20,14 @@ from susp5.cli import RunConfig, run
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 DESCRIPTORS = sorted((ROOT / "scripts" / "descriptors").glob("*.txt"))
+LARGE_CHAIN = GOLDEN / "large_chain.txt"
 
 
 def test_every_descriptor_has_golden_files():
     assert len(DESCRIPTORS) == 6
     expected = {f"{p.stem}.{m}.json" for p in DESCRIPTORS for m in ("single", "double")}
     expected.add("three_primary_eta.double.json")
+    expected.update({"large_chain.single.json", "large_chain.double.json"})
     assert {p.name for p in GOLDEN.glob("*.json")} == expected
 
 
@@ -43,3 +47,11 @@ def test_three_primary_double_mode_matches_golden():
     )
     assert code == 0
     assert out.getvalue() == (GOLDEN / "three_primary_eta.double.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", ["single", "double"])
+def test_large_chain_level_file_matches_golden(mode):
+    out = io.StringIO()
+    code = run(RunConfig(paths=(str(LARGE_CHAIN),), mode=mode, fmt="structured"), stdout=out)
+    assert code == 0
+    assert out.getvalue() == (GOLDEN / f"large_chain.{mode}.json").read_text(encoding="utf-8")

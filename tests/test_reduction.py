@@ -1,5 +1,7 @@
 """Incidence-matrix and residual-attaching-vector normal forms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,49 @@ def test_validation():
         H([], [[1]], [0])
 
 
+NOT_BITS = pytest.mark.parametrize("bad", [2, -1, "1", None], ids=repr)
+EQUAL_TO_ONE = pytest.mark.parametrize("one", [True, 1.0], ids=repr)
+
+
+@NOT_BITS
+def test_matrix_entries_other_than_0_and_1_are_rejected(bad):
+    for sphere, moore in (([[0, bad]], [[0, 1]]), ([[0, 1]], [[bad, 1]])):
+        with pytest.raises(AttachingDataError, match="^matrix entries must be 0 or 1$"):
+            H(sphere, moore, [1])
+
+
+@EQUAL_TO_ONE
+def test_matrix_entries_equal_to_1_are_accepted(one):
+    res = reduce_h_matrix(H([[one, 0]], [[one, one]], [1]))
+    assert (res.c1, res.c2, res.consumed) == (1, 1, (0,))
+
+
+def _random_matrix(rng):
+    cols, d = rng.randint(1, 64), rng.randint(0, 64)
+    exps = [rng.randint(1, 3) for _ in range(rng.randint(0, 8))]
+    density = rng.random()
+    sphere = [[int(rng.random() < density) for _ in range(cols)] for _ in range(d)]
+    moore = [[int(rng.random() < density) for _ in range(cols)] for _ in exps]
+    return sphere, moore, exps
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduction_at_corpus_large_size(seed):
+    sphere, moore, exps = _random_matrix(random.Random(seed))
+    res = reduce_h_matrix(H(sphere, moore, exps))
+    assert res.c1 == f2_rank(sphere)
+    assert res.c1 + res.c2 == f2_rank(sphere + moore)
+    red = res.reduced
+    rows = red.sphere_rows + red.moore_rows
+    pivot_rows = [r for r in red.sphere_rows if any(r)]
+    assert len(pivot_rows) == res.c1  # elimination zeroes every other sphere row
+    for row in pivot_rows + [red.moore_rows[j] for j in res.consumed]:
+        assert sum(row) == 1
+        assert sum(r[row.index(1)] for r in rows) == 1  # a column of its own
+    assert f2_rank(red.sphere_rows) == res.c1
+    assert f2_rank(rows) == res.c1 + res.c2
+
+
 def test_single_column_two_moore_rows():
     # both rows carry i eta; the larger exponent claims the only column
     res = reduce_h_matrix(H([], [[1], [1]], [2, 1]))
@@ -70,6 +115,16 @@ def test_moore_blocked_by_sphere_pivots():
     res = reduce_h_matrix(H([[1]], [[1]], [2]))
     assert (res.c1, res.c2) == (1, 0)
     assert res.consumed == ()
+
+
+def test_reduced_matrix_keeps_the_lowest_pivot_columns():
+    # the first sphere row with a 1 in the lowest column is the pivot, and a
+    # Moore row claims its lowest free column
+    res = reduce_h_matrix(H([[0, 1, 1, 0], [0, 1, 0, 0]], [[0, 1, 1, 1]], [2]))
+    assert (res.c1, res.c2, res.consumed) == (2, 1, (0,))
+    assert res.reduced == H([[0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0, 0, 1]], [2])
+    res = reduce_h_matrix(H([], [[0, 1, 1], [1, 1, 0]], [1, 1]))
+    assert res.reduced == H([], [[0, 1, 0], [1, 0, 0]], [1, 1])
 
 
 def test_zero_matrix():
@@ -182,6 +237,22 @@ def test_phi_validation():
         phi(moore=(1,), exps=())
     with pytest.raises(AttachingDataError):
         PhiVector((), (), (), (), (), (), whitehead=1)
+
+
+@NOT_BITS
+def test_phi_entries_out_of_range_are_rejected(bad):
+    for kwargs in (dict(x=(bad,)), dict(y=(0, bad)), dict(w=(bad,), cons=(1,))):
+        with pytest.raises(AttachingDataError, match="^sphere and w components must be 0 or 1$"):
+            phi(**kwargs)
+    slot = 4 if bad == 2 else bad
+    with pytest.raises(AttachingDataError, match="^Moore slot values must lie in 0..3$"):
+        phi(moore=(3, slot), exps=(1, 2))
+
+
+@EQUAL_TO_ONE
+def test_phi_entries_equal_to_1_are_accepted(one):
+    v = phi(x=(one,), y=(one,), moore=(one, 3.0), exps=(1, 2), w=(one,), cons=(1,))
+    assert reduce_phi(v, smooth=False) == AttachCase("tilde_eta", 0, 1)
 
 
 def test_reduce_phi_cases():
