@@ -249,7 +249,8 @@ class FgAbGroup:
         >>> FgAbGroup.from_string("Z^2 + Z/2^3") == FgAbGroup(2, ((2, 3),))
         True
         """
-        orders: list[int] = []
+        rank = 0
+        tors: list[tuple[int, int]] = []
         for raw in text.split("+"):
             term = raw.strip()
             if not term:
@@ -265,10 +266,10 @@ class FgAbGroup:
                     raise OrderRangeError(f"torsion order {term!r} is not below 2^64")
                 if k < 2:
                     raise ValueError(f"bad torsion order in {term!r}")
-                orders.append(k)
+                tors.extend(_prime_power_factors(k))
             else:
-                orders.extend([0] * int(m.group("rank") or 1))
-        return cls.from_orders(orders)
+                rank += int(m.group("rank") or 1)  # a count: Z^n costs no list of n
+        return cls(rank, tuple(sorted(tors)))
 
     # -- structure ---------------------------------------------------------
 

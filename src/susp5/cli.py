@@ -24,6 +24,7 @@ from typing import NoReturn
 
 from susp5.abgroup import FgAbGroup, OrderRangeError
 from susp5.decompose import (
+    CASES,
     DecompositionError,
     DescriptorError,
     ManifoldDescriptor,
@@ -88,7 +89,7 @@ _SCALAR_KEYS = (
     "case",
 )
 _INVARIANT_ROUTE_KEYS = ("c1", "c2", "consumed", "case")
-_CASE_RE = re.compile(r"(ip_tilde_eta|tilde_eta|i_eta_sq|eta_sq|eta|null)(?:\(([0-9]+)\))?")
+_CASE_RE = re.compile(f"({'|'.join(CASES)})" + r"(?:\(([0-9]+)\))?")
 _MOORE_ROW_RE = re.compile(r"moore\s+r=([0-9]+)\s*=\s*(.*)")
 _CONSUMED_RE = re.compile(r"\[\s*((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\]")
 
@@ -229,14 +230,10 @@ class _Parser:
         value, line, col = self.scalars["case"]
         m = _CASE_RE.fullmatch(value)
         if not m:
-            self.error(
-                "syntax",
-                "case must be null, eta, eta_sq, tilde_eta(j), ip_tilde_eta(j), or i_eta_sq(j)",
-                line,
-                col,
-            )
+            *kinds, last = (k if c.index is None else f"{k}(j)" for k, c in CASES.items())
+            self.error("syntax", f"case must be {', '.join(kinds)}, or {last}", line, col)
         kind, idx = m.group(1), m.group(2)
-        if kind in ("null", "eta", "eta_sq"):
+        if CASES[kind].index is None:
             if idx is not None:
                 self.error("consistency", f"case {kind} takes no index", line, col)
             return AttachCase(kind)
@@ -288,9 +285,9 @@ class _Parser:
             l=l, d=d, h1_torsion=h1, h2_torsion=h2,
             spin=spin, smooth=smooth,
         )
-        if self.saw_matrix:
-            return self._build_from_matrix(common)
         try:
+            if self.saw_matrix:
+                return self._build_from_matrix(common)
             return ManifoldDescriptor(
                 c1=self._int("c1") if "c1" in self.scalars else 0,
                 c2=self._int("c2") if "c2" in self.scalars else 0,
@@ -299,7 +296,9 @@ class _Parser:
                 **common,
             )
         except DescriptorError as exc:
-            self.error("consistency", str(exc))
+            # at the key's value; a key the file lacks (a derived value) stays at line 0
+            _, line, col = self.scalars.get(exc.key, ("", 0, 0))
+            self.error("consistency", str(exc), line, col)
 
     def _build_from_matrix(self, common) -> ManifoldDescriptor:
         try:
@@ -341,7 +340,7 @@ class _Parser:
             )
         try:
             return resolve_attaching_data(h_matrix=h, phi=phi, reduction=red, **common)
-        except (AttachingDataError, DescriptorError) as exc:
+        except AttachingDataError as exc:
             self.error("consistency", str(exc))
 
 
@@ -375,16 +374,6 @@ def render_descriptor(desc: ManifoldDescriptor) -> str:
 
 
 # -- reports -------------------------------------------------------------------
-
-_CASE_PHRASES = {
-    "null": "trivial top attachment; the top cell splits off as a sphere",
-    "eta": "top cell attached by a suspended Hopf map into a two-sphere summand",
-    "tilde_eta": "top cell attached by a lifted Hopf map into a two-primary Moore summand",
-    "ip_tilde_eta": "top cell attached by a lifted Hopf map carried into an absorbed two-stage piece",
-    "eta_sq": "top cell attached by a doubly suspended squared Hopf map into a three-sphere summand",
-    "i_eta_sq": "top cell attached by a squared Hopf map carried into a two-primary Moore summand",
-}
-
 
 def _trace_row(contribution):
     row = [contribution.summand.render(), contribution.group.render()]
@@ -445,7 +434,7 @@ def build_report(desc, mode="single", run_checks=True):
             "case": _render_case(desc.case),
         },
         "mode": mode,
-        "case": {"tag": desc.case.kind, "phrase": _CASE_PHRASES[desc.case.kind]},
+        "case": {"tag": desc.case.kind, "phrase": CASES[desc.case.kind].phrase},
         "single_suspension": single.render() if single is not None else None,
         "double_suspension": double.render(),
         "sections": {f"w{k}": homology_section(desc, k).render() for k in (3, 4, 5)},

@@ -29,40 +29,79 @@ from susp5.reduction import (
     reduce_phi,
 )
 from susp5.spaces import (
+    CHANG_ETA,
+    CHANG_IP_ETA_LIFT,
+    MOORE_ETA_LIFT,
+    MOORE_ETA_SQ,
+    SPHERE,
+    SPHERE_ETA_SQ,
     ElementaryComplex,
     Wedge,
     chang_eta,
-    chang_ip_eta_lift,
     chang_r,
-    moore_eta_lift,
-    moore_eta_sq,
     peterson,
     sphere,
-    sphere_eta_sq,
     wedge,
 )
 
 
 class DescriptorError(ValueError):
-    """Invalid or inconsistent manifold invariants."""
+    """Invalid or inconsistent manifold invariants; key names the descriptor
+    file key the error is about (l, d, H, T, c1, c2, consumed or case)."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
 
 
 class DecompositionError(ValueError):
     """The requested decomposition does not exist for this input."""
 
 
-_SMOOTH_SPIN_CASES = {"null"}
-_NONSPIN_CASES = {"eta", "tilde_eta", "ip_tilde_eta"}
-_PD_SPIN_CASES = {"null", "eta_sq", "i_eta_sq"}
+@dataclass(frozen=True)
+class _Case:
+    """What one attaching case of the top cell decides.
+
+    index says which two-primary summands of T case.index counts
+    ('unconsumed', 'consumed', or None: the case takes no index); spin is
+    the spin flag the case needs and smooth whether smooth input admits it;
+    top is the variant of the top piece of the suspension wedge; absorbs is
+    the W5 summand the top piece replaces ('S^3', 'S^4', the Moore summand
+    'moore', the C_r piece 'chang', or None); phrase describes the case.
+    """
+
+    index: str | None
+    spin: bool
+    smooth: bool
+    top: str
+    absorbs: str | None
+    phrase: str
+
+
+# Every attaching case, in the order the descriptor format lists them.
+CASES = {
+    "null": _Case(None, True, True, SPHERE, None,
+        "trivial top attachment; the top cell splits off as a sphere"),
+    "eta": _Case(None, False, True, CHANG_ETA, "S^4",
+        "top cell attached by a suspended Hopf map into a two-sphere summand"),
+    "eta_sq": _Case(None, True, False, SPHERE_ETA_SQ, "S^3",
+        "top cell attached by a doubly suspended squared Hopf map into a three-sphere summand"),
+    "tilde_eta": _Case("unconsumed", False, True, MOORE_ETA_LIFT, "moore",
+        "top cell attached by a lifted Hopf map into a two-primary Moore summand"),
+    "ip_tilde_eta": _Case("consumed", False, True, CHANG_IP_ETA_LIFT, "chang",
+        "top cell attached by a lifted Hopf map carried into an absorbed two-stage piece"),
+    "i_eta_sq": _Case("unconsumed", True, False, MOORE_ETA_SQ, "moore",
+        "top cell attached by a squared Hopf map carried into a two-primary Moore summand"),
+}
 
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Invariants plus normalized attaching data; see the module docstring.
 
-    `consumed`, `case.index` for tilde_eta and i_eta_sq, and the index for
-    ip_tilde_eta all refer to positions in the canonical list of
-    two-primary summands of h2_torsion (ascending exponent order).
+    `consumed` and `case.index` refer to positions in the canonical list of
+    two-primary summands of h2_torsion (ascending exponent order); CASES
+    says which of them each case's index may name.
     """
 
     l: int
@@ -78,59 +117,53 @@ class ManifoldDescriptor:
 
     def __post_init__(self):
         if self.l < 1 or self.d < 1:
-            raise DescriptorError("l and d must be at least 1")
-        for name, g in (("h1", self.h1_torsion), ("h2", self.h2_torsion)):
+            raise DescriptorError("l and d must be at least 1", "l" if self.l < 1 else "d")
+        for key, name, g in (("H", "h1", self.h1_torsion), ("T", "h2", self.h2_torsion)):
             if g.free_rank:
-                raise DescriptorError(f"{name} torsion part must be a torsion group")
+                raise DescriptorError(f"{name} torsion part must be a torsion group", key)
         if self.h1_torsion.has_2_torsion:
-            raise DescriptorError("first homology torsion must be odd")
+            raise DescriptorError("first homology torsion must be odd", "H")
         t2 = len(self.two_primary_exponents)
         if not 0 <= self.c1 <= min(self.l, self.d):
-            raise DescriptorError("c1 must satisfy 0 <= c1 <= min(l, d)")
+            raise DescriptorError("c1 must satisfy 0 <= c1 <= min(l, d)", "c1")
         if not 0 <= self.c2 <= min(self.l - self.c1, t2):
-            raise DescriptorError("c2 must satisfy 0 <= c2 <= min(l - c1, t2)")
+            raise DescriptorError("c2 must satisfy 0 <= c2 <= min(l - c1, t2)", "c2")
 
         consumed = self.consumed
         if not consumed and self.c2:
             consumed = tuple(range(self.c2))
             object.__setattr__(self, "consumed", consumed)
         if len(consumed) != self.c2 or len(set(consumed)) != self.c2:
-            raise DescriptorError("consumed must list c2 distinct summands")
+            raise DescriptorError("consumed must list c2 distinct summands", "consumed")
         if any(not 0 <= j < t2 for j in consumed):
-            raise DescriptorError("consumed indices out of range")
+            raise DescriptorError("consumed indices out of range", "consumed")
         if tuple(sorted(consumed)) != consumed:
             object.__setattr__(self, "consumed", tuple(sorted(consumed)))
 
-        allowed = (
-            (_SMOOTH_SPIN_CASES if self.spin else _NONSPIN_CASES)
-            if self.smooth
-            else (_PD_SPIN_CASES if self.spin else _NONSPIN_CASES)
-        )
-        case = self.case
-        if case.kind not in allowed:
+        kind, j = self.case.kind, self.case.index
+        case = CASES.get(kind)
+        if case is None or case.spin != self.spin or (self.smooth and not case.smooth):
             raise DescriptorError(
-                f"case {case.kind!r} is not allowed for this spin/smooth combination"
+                f"case {kind!r} is not allowed for this spin/smooth combination", "case"
             )
-        if case.kind in ("null", "eta"):
-            if case.index is not None or case.r is not None:
-                raise DescriptorError(f"case {case.kind!r} takes no summand index")
-        if case.kind in ("tilde_eta", "i_eta_sq"):
-            j = case.index
+        if case.index is None:
+            if j is not None or self.case.r is not None:
+                raise DescriptorError(f"case {kind!r} takes no summand index", "case")
+        elif case.index == "unconsumed":
             if j is None or not 0 <= j < t2 or j in self.consumed:
                 raise DescriptorError(
-                    f"case {case.kind!r} needs an unconsumed two-primary summand"
+                    f"case {kind!r} needs an unconsumed two-primary summand", "case"
                 )
-        if case.kind == "ip_tilde_eta":
-            if case.index not in self.consumed:
-                raise DescriptorError("case 'ip_tilde_eta' needs a consumed summand")
-        if case.kind == "eta_sq" and self.d - self.c1 < 1:
-            raise DescriptorError("case 'eta_sq' needs a free three-sphere")
-        if case.index is not None:
-            r = self.two_primary_exponents[case.index]
-            if case.r is None:
-                object.__setattr__(self, "case", replace(case, r=r))
-            elif case.r != r:
-                raise DescriptorError("case exponent does not match the summand")
+        elif j not in self.consumed:
+            raise DescriptorError(f"case {kind!r} needs a consumed summand", "case")
+        if case.absorbs == "S^3" and self.d - self.c1 < 1:
+            raise DescriptorError(f"case {kind!r} needs a free three-sphere", "case")
+        if j is not None:
+            r = self.two_primary_exponents[j]
+            if self.case.r is None:
+                object.__setattr__(self, "case", replace(self.case, r=r))
+            elif self.case.r != r:
+                raise DescriptorError("case exponent does not match the summand", "case")
 
     @property
     def pd_mode(self) -> bool:
@@ -165,58 +198,28 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
     }
 
 
-def _case_pieces(desc: ManifoldDescriptor):
-    """Top piece of the suspension wedge plus the adjustments it causes to
-    W5: returns (top complex, extra index dropped from the Moore part,
-    consumed indices still carrying a two-stage piece, sphere deltas)."""
-    exps = desc.two_primary_exponents
-    kind = desc.case.kind
-    extra_drop = None
-    chang_indices = list(desc.consumed)
-    d3 = d4 = 0
-    if kind == "null":
-        top = sphere(6)
-    elif kind == "eta":
-        top = chang_eta(6)
-        d4 = -1
-    elif kind == "tilde_eta":
-        extra_drop = desc.case.index
-        top = moore_eta_lift(6, exps[extra_drop])
-    elif kind == "ip_tilde_eta":
-        chang_indices.remove(desc.case.index)
-        top = chang_ip_eta_lift(6, exps[desc.case.index])
-    elif kind == "eta_sq":
-        top = sphere_eta_sq(6)
-        d3 = -1
-    elif kind == "i_eta_sq":
-        extra_drop = desc.case.index
-        top = moore_eta_sq(6, exps[extra_drop])
-    else:
-        raise DescriptorError(f"unknown case kind {kind!r}")
-    return top, extra_drop, chang_indices, d3, d4
-
-
-def _section_parts(desc, extra_drop, chang_indices, d3, d4) -> list[ElementaryComplex]:
-    """The summands of W5, changed by the case adjustments of _case_pieces:
-    d3 and d4 more three- and four-spheres, one more Moore summand dropped,
-    and C_r pieces on chang_indices only."""
+def _section_parts(desc, absorbs=None, j=None) -> list[ElementaryComplex]:
+    """The summands of W5, less the one a top piece absorbs (see _Case):
+    a three- or four-sphere, the Moore summand j, or the C_r piece on the
+    consumed summand j."""
     exps = desc.two_primary_exponents
     H = desc.h1_torsion
     return (
-        [sphere(3)] * (desc.d - desc.c1 + d3)
-        + [sphere(4)] * (desc.d + d4)
+        [sphere(3)] * (desc.d - desc.c1 - (absorbs == "S^3"))
+        + [sphere(4)] * (desc.d - (absorbs == "S^4"))
         + [sphere(5)] * (desc.l - desc.c1 - desc.c2)
         + peterson(3, H)
-        + peterson(4, desc.remaining_torsion(extra_drop))
+        + peterson(4, desc.remaining_torsion(j if absorbs == "moore" else None))
         + peterson(5, H)
         + [chang_eta(5)] * desc.c1
-        + [chang_r(5, exps[j]) for j in chang_indices]
+        + [chang_r(5, exps[i]) for i in desc.consumed if (absorbs, i) != ("chang", j)]
     )
 
 
 def _single_parts(desc: ManifoldDescriptor) -> list[ElementaryComplex]:
-    top, *adjustments = _case_pieces(desc)
-    return [sphere(2)] * desc.l + _section_parts(desc, *adjustments) + [top]
+    case = CASES[desc.case.kind]
+    top = ElementaryComplex(case.top, 6, r=desc.case.r or 0)
+    return [sphere(2)] * desc.l + _section_parts(desc, case.absorbs, desc.case.index) + [top]
 
 
 def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
@@ -246,7 +249,7 @@ def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:
     remainder at homological degree k.
     """
     if k == 5:
-        return wedge(*_section_parts(desc, None, desc.consumed, 0, 0))
+        return wedge(*_section_parts(desc))
     if k not in (3, 4):
         raise DecompositionError("homology sections are defined for k in 3..5")
     H = desc.h1_torsion
@@ -319,10 +322,10 @@ def resolve_attaching_data(
             raise AttachingDataError("phi consumed exponents disagree with h2")
 
     case = reduce_phi(phi, smooth=smooth)
-    if case.kind in ("tilde_eta", "i_eta_sq"):
-        case = replace(case, index=unconsumed[case.index])
-    elif case.kind == "ip_tilde_eta":
-        case = replace(case, index=consumed[case.index])
+    slots = CASES[case.kind].index
+    if slots is not None:
+        indices = consumed if slots == "consumed" else unconsumed
+        case = replace(case, index=indices[case.index])
 
     return ManifoldDescriptor(
         l=l,

@@ -272,9 +272,9 @@ def _eps_active(phi: PhiVector, i: int) -> bool:
 class AttachCase:
     """Normal form of the residual attaching data.
 
-    kind is one of null, eta, tilde_eta, ip_tilde_eta, eta_sq, i_eta_sq.
-    For tilde_eta and i_eta_sq, index points into the unconsumed Moore
-    slots; for ip_tilde_eta it points into the consumed slots.  r is the
+    kind names a case of decompose.CASES, whose record says which
+    two-primary summands index counts in a descriptor; in the result of
+    reduce_phi it counts the same Moore slots of the vector.  r is the
     exponent of the slot involved.
     """
 

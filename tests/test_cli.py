@@ -7,6 +7,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,63 @@ def test_descriptor_inconsistency_reported():
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text("l = 1\nd = 1\nspin = true\nc1 = 2\n")
     assert ei.value.kind == "consistency"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "l = 1\nd = 1\nT = Z/2\nspin = true\nc2 = 1\nconsumed = [5]\n",
+            "f.txt:6:12: consistency error: consumed indices out of range",
+        ),
+        (
+            "l = 1\nd = 1\nspin = true\ncase = eta\n",
+            "f.txt:4:8: consistency error: "
+            "case 'eta' is not allowed for this spin/smooth combination",
+        ),
+        (
+            "l = 1\nd = 2\nspin = true\nc1 = 3\n",
+            "f.txt:4:6: consistency error: c1 must satisfy 0 <= c1 <= min(l, d)",
+        ),
+        (
+            # the matrix route derives the case: no key to point at
+            PHI.replace("spin = false", "spin = true"),
+            "f.txt: consistency error: "
+            "case 'eta' is not allowed for this spin/smooth combination",
+        ),
+    ],
+    ids=["consumed", "case", "c1", "derived-case"],
+)
+def test_descriptor_error_is_located_at_its_key(text, message):
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(text, source="f.txt")
+    assert ei.value.kind == "consistency"
+    assert str(ei.value) == message
+
+
+def test_unknown_case_lists_every_kind():
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(MINIMAL + "case = zeta\n", source="f.txt")
+    assert str(ei.value) == (
+        "f.txt:4:8: syntax error: case must be null, eta, eta_sq, "
+        "tilde_eta(j), ip_tilde_eta(j), or i_eta_sq(j)"
+    )
+
+
+@pytest.mark.parametrize("rank", ["10000000", "99999999999"])
+def test_free_rank_is_counted_not_expanded(rank):
+    # a list of n zeros for Z^n would take 80 MB at n = 10^7
+    text = f"l = 1\nd = 1\nspin = true\nT = Z^{rank}\n"
+    parse_descriptor_text(MINIMAL)  # compile the parser's regexes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as ei:
+            parse_descriptor_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(ei.value) == "<input>:4:5: consistency error: h2 torsion part must be a torsion group"
+    assert peak < 50_000
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,13 +1,15 @@
 """Descriptor validation and suspension wedge decompositions."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_descriptor
+from helpers import random_descriptor, valid_cases
 from susp5.abgroup import FgAbGroup
+from susp5.cli import parse_descriptor_text, render_descriptor
 from susp5.decompose import (
     DecompositionError,
     DescriptorError,
@@ -220,6 +222,41 @@ def test_validation_errors():
         desc(T="Z/4", spin=False, case=AttachCase("tilde_eta", 0, r=3))
     with pytest.raises(DescriptorError):
         desc(T="Z/4", spin=True, c2=1, consumed=(0, 0))
+    for case in (AttachCase("eta_sq", 0), AttachCase("eta_sq", 5), AttachCase("eta_sq", r=3)):
+        with pytest.raises(DescriptorError, match="'eta_sq' takes no summand index"):
+            desc(T="Z/2", smooth=False, case=case)
+
+
+def test_attaching_cases_accepted_exactly_when_valid():
+    # the kinds are spelled out here, not read from decompose.CASES, so the
+    # table is checked against helpers.valid_cases and not against itself
+    kinds = ("null", "eta", "eta_sq", "tilde_eta", "ip_tilde_eta", "i_eta_sq")
+    accepted = listed = 0
+    for l, d, T, spin, smooth in product(
+        (1, 2), (1, 2), ("0", "Z/3", "Z/2", "Z/4 + Z/3", "Z/2 + Z/8"), (True, False), (True, False)
+    ):
+        t2 = len(FgAbGroup.from_string(T).primary_exponents(2))
+        for c1 in range(min(l, d) + 1):
+            for c2 in range(min(l - c1, t2) + 1):
+                for consumed in combinations(range(t2), c2):
+                    valid = {
+                        (c.kind, c.index)
+                        for c in valid_cases(l, d, t2, c1, c2, consumed, smooth, spin)
+                    }
+                    listed += len(valid)
+                    for kind, index in product(kinds, (None, *range(t2 + 1))):
+                        try:
+                            d0 = desc(
+                                l=l, d=d, T=T, spin=spin, smooth=smooth, c1=c1, c2=c2,
+                                consumed=consumed, case=AttachCase(kind, index),
+                            )
+                        except DescriptorError as exc:
+                            assert (kind, index) not in valid and exc.key == "case"
+                            continue
+                        assert (kind, index) in valid
+                        assert parse_descriptor_text(render_descriptor(d0)) == d0
+                        accepted += 1
+    assert accepted == listed == 536
 
 
 def test_consumed_defaults_to_prefix():

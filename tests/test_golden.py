@@ -10,12 +10,14 @@ of tests/golden/large_chain.txt, a chain-level file of corpus-large size
 byte unchanged; a deliberate output change rewrites the files and says so.
 """
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from helpers import THREE_PRIMARY_ETA
 from susp5.cli import RunConfig, run
+from susp5.decompose import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -55,3 +57,8 @@ def test_large_chain_level_file_matches_golden(mode):
     code = run(RunConfig(paths=(str(LARGE_CHAIN),), mode=mode, fmt="structured"), stdout=out)
     assert code == 0
     assert out.getvalue() == (GOLDEN / f"large_chain.{mode}.json").read_text(encoding="utf-8")
+
+
+def test_golden_files_cover_every_attaching_case():
+    tags = {json.loads(p.read_text(encoding="utf-8"))["case"]["tag"] for p in GOLDEN.glob("*.json")}
+    assert tags >= set(CASES)
