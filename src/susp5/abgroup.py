@@ -9,17 +9,18 @@ canonical form is isomorphism and nothing is ever compared "up to extension".
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
 Matrix = list[list[int]]
 
-# Torsion orders in group literals must lie below this.
+# Torsion orders and free ranks in group literals must lie below this.
 ORDER_BOUND = 2**64
 
 
 class OrderRangeError(ValueError):
-    """A group literal names a torsion order of ORDER_BOUND or more."""
+    """A group literal names a torsion order or free rank of ORDER_BOUND or more."""
 
 
 def _identity(n: int) -> Matrix:
@@ -125,28 +126,127 @@ def smith_normal_form(a: list[list[int]] | tuple) -> tuple[Matrix, Matrix, Matri
     return d, u, v
 
 
+# Trial division runs up to this bound; a cofactor with no factor up to it
+# that is still above its square goes to Miller-Rabin and Pollard-Brent rho.
+_TRIAL_BOUND = 4096
+# Miller-Rabin over the primes 2..37 as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); larger cofactors keep trial
+# division, so the factorisation stays exact at every size.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 37 < n < _MR_EXACT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper divisor of the odd composite n (Brent, BIT 1980).
+
+    Walks y -> y^2 + c mod n from y = 2, batching |x - y| products into one
+    gcd per 128 steps; c = 1, 2, ... until the gcd is proper, so the result
+    is deterministic.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no divisor found for {n}")
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """Prime factors of n, with repeats, for n without factors up to
+    _TRIAL_BOUND and below _MR_EXACT."""
+    if _is_prime(n):
+        return [n]
+    d = _brent_factor(n)
+    return _large_prime_factors(d) + _large_prime_factors(n // d)
+
+
 @functools.lru_cache(maxsize=4096)
 def _prime_power_factors(k: int) -> tuple[tuple[int, int], ...]:
     """Factor k >= 2 into ((p, e), ...) with p ascending.
 
-    Memoised: a report validates the same few hundred primes and orders tens
-    of thousands of times, and the result is a tuple, so callers cannot
-    change what the cache holds.
+    Trial division up to _TRIAL_BOUND; a cofactor that is left above that
+    bound's square and below _MR_EXACT is split by Miller-Rabin and
+    Pollard-Brent rho instead.  Memoised: a report validates the same few
+    hundred primes and orders tens of thousands of times, and the result is
+    a tuple, so callers cannot change what the cache holds.
+
+    >>> _prime_power_factors(100000000000000003)
+    ((100000000000000003, 1),)
+    >>> _prime_power_factors(2 * 2147483647 * 2147483629)
+    ((2, 1), (2147483629, 1), (2147483647, 1))
     """
+    bound = _TRIAL_BOUND if k < _MR_EXACT else k
     out = []
     rest = k
     p = 2
-    while p * p <= rest:
+    stop = min(math.isqrt(rest), bound)
+    while p <= stop:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             out.append((p, e))
+            stop = min(math.isqrt(rest), bound)
         p += 1 if p == 2 else 2
-    if rest > 1:
+    if p * p <= rest:  # stopped at the trial bound
+        primes = _large_prime_factors(rest)
+        out.extend((q, primes.count(q)) for q in sorted(set(primes)))
+    elif rest > 1:
         out.append((rest, 1))
     return tuple(out)
+
+
+def int_below(digits: str, bound: int) -> int | None:
+    """The value of an ASCII digit string if it is below bound, else None.
+
+    The digit count settles long strings first, so int() never sees more
+    digits than bound has and a literal of any length costs no big integer.
+
+    >>> int_below("0041", 64), int_below("64", 64), int_below("9" * 5000, 2**64)
+    (41, None, None)
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(bound)):
+        return None
+    n = int(digits)
+    return n if n < bound else None
 
 
 def _literal_order(base_digits: str, exp_digits: str) -> int:
@@ -157,8 +257,10 @@ def _literal_order(base_digits: str, exp_digits: str) -> int:
     >>> _literal_order("2", "63") == 2**63, _literal_order("2", "64") == ORDER_BOUND
     (True, True)
     """
-    base = int(base_digits) if len(base_digits.lstrip("0")) <= 20 else ORDER_BOUND
-    exp = int(exp_digits) if len(exp_digits.lstrip("0")) <= 2 else 64
+    base = int_below(base_digits, ORDER_BOUND)
+    base = ORDER_BOUND if base is None else base
+    exp = int_below(exp_digits, 64)
+    exp = 64 if exp is None else exp
     if base >= 2 and exp >= 64:
         return ORDER_BOUND
     return min(base**exp, ORDER_BOUND)
@@ -185,7 +287,7 @@ class FgAbGroup:
             raise ValueError("negative free rank")
         if list(self.torsion) != sorted(self.torsion):
             raise ValueError("torsion summands must be sorted by (prime, exponent)")
-        for p, e in self.torsion:
+        for p, e in dict.fromkeys(self.torsion):  # each distinct summand once
             if e < 1 or p < 2 or _prime_power_factors(p) != ((p, 1),):
                 raise ValueError(f"not a prime power summand: ({p}, {e})")
 
@@ -268,7 +370,10 @@ class FgAbGroup:
                     raise ValueError(f"bad torsion order in {term!r}")
                 tors.extend(_prime_power_factors(k))
             else:
-                rank += int(m.group("rank") or 1)  # a count: Z^n costs no list of n
+                n = int_below(m.group("rank") or "1", ORDER_BOUND)
+                if n is None:
+                    raise OrderRangeError(f"free rank of {term!r} is not below 2^64")
+                rank += n  # a count: Z^n costs no list of n
         return cls(rank, tuple(sorted(tors)))
 
     # -- structure ---------------------------------------------------------
@@ -297,11 +402,7 @@ class FgAbGroup:
         return FgAbGroup(0, tuple(t for t in self.torsion if t[0] == p))
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
-        rank = self.free_rank + sum(g.free_rank for g in others)
-        tors = list(self.torsion)
-        for g in others:
-            tors.extend(g.torsion)
-        return FgAbGroup(rank, tuple(sorted(tors)))
+        return direct_sum(self, *others)
 
     def drop_torsion_summands(self, indices) -> "FgAbGroup":
         """Remove the torsion summands at the given canonical indices."""
@@ -327,8 +428,21 @@ class FgAbGroup:
         return self.render()
 
 
+def direct_sum_counted(terms) -> FgAbGroup:
+    """Direct sum of n copies of g for each (g, n) in terms.
+
+    >>> direct_sum_counted([(FgAbGroup.from_orders([0, 2]), 3)])
+    FgAbGroup(free_rank=3, torsion=((2, 1), (2, 1), (2, 1)))
+    """
+    rank = 0
+    tors: list[tuple[int, int]] = []
+    for g, n in terms:
+        rank += g.free_rank * n
+        tors += g.torsion * n
+    tors.sort()
+    return FgAbGroup(rank, tuple(tors))
+
+
 def direct_sum(*groups: FgAbGroup) -> FgAbGroup:
     """Direct sum of any number of groups (empty sum is the trivial group)."""
-    if not groups:
-        return FgAbGroup.trivial()
-    return groups[0].direct_sum(*groups[1:])
+    return direct_sum_counted((g, 1) for g in groups)

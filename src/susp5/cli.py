@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import NoReturn
 
-from susp5.abgroup import FgAbGroup, OrderRangeError
+from susp5.abgroup import ORDER_BOUND, FgAbGroup, OrderRangeError, int_below
 from susp5.decompose import (
     CASES,
     DecompositionError,
@@ -89,6 +89,8 @@ _SCALAR_KEYS = (
     "case",
 )
 _INVARIANT_ROUTE_KEYS = ("c1", "c2", "consumed", "case")
+# Every descriptor integer lies below 2^64; l and d are at most this.
+MAX_L_D = 4096
 _CASE_RE = re.compile(f"({'|'.join(CASES)})" + r"(?:\(([0-9]+)\))?")
 _MOORE_ROW_RE = re.compile(r"moore\s+r=([0-9]+)\s*=\s*(.*)")
 _CONSUMED_RE = re.compile(r"\[\s*((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\]")
@@ -166,7 +168,7 @@ class _Parser:
             m = _MOORE_ROW_RE.fullmatch(line)
             if not m:
                 self.error("syntax", "expected 'moore r=<exp> = entries'", lineno, 1)
-            r = int(m.group(1))
+            r = self._nat(m.group(1), "moore exponent", lineno, 1)
             if r < 1:
                 self.error("range", "moore exponent must be at least 1", lineno, 1)
             bits = self._entries(m.group(2), {"0": 0, "i3eta": 1}, lineno)
@@ -200,14 +202,24 @@ class _Parser:
 
     # -- typed scalar access ---------------------------------------------------
 
+    def _nat(self, digits: str, what: str, line: int, col: int, cap: int | None = None) -> int:
+        """The value of a digit string: below 2^64 and, given a cap, at most
+        the cap; anything else is a range error decided by the digit count
+        before any big integer is formed."""
+        n = int_below(digits, ORDER_BOUND if cap is None else cap + 1)
+        if n is None:
+            limit = "below 2^64" if cap is None else f"at most {cap}"
+            self.error("range", f"{what} must be {limit}", line, col)
+        return n
+
     def _int(self, key: str) -> int:
         value, line, col = self.scalars[key]
         if re.fullmatch(r"-?[0-9]+", value) is None:
             self.error("syntax", f"{key} must be an integer", line, col)
-        n = int(value)
-        if n < 0:
+        if value.startswith("-") and value.strip("-0"):
             self.error("range", f"{key} must be nonnegative", line, col)
-        return n
+        cap = MAX_L_D if key in ("l", "d") else None
+        return self._nat(value.lstrip("-"), key, line, col, cap)
 
     def _bool(self, key: str) -> bool:
         value, line, col = self.scalars[key]
@@ -239,7 +251,7 @@ class _Parser:
             return AttachCase(kind)
         if idx is None:
             self.error("consistency", f"case {kind} needs a summand index", line, col)
-        return AttachCase(kind, int(idx))
+        return AttachCase(kind, self._nat(idx, "case index", line, col))
 
     def _consumed(self) -> tuple[int, ...]:
         value, line, col = self.scalars["consumed"]
@@ -249,7 +261,10 @@ class _Parser:
         inner = m.group(1).strip()
         if not inner:
             return ()
-        return tuple(int(tok) for tok in inner.replace(",", " ").split())
+        return tuple(
+            self._nat(tok, "consumed index", line, col)
+            for tok in inner.replace(",", " ").split()
+        )
 
     # -- assembly ----------------------------------------------------------------
 
@@ -375,11 +390,18 @@ def render_descriptor(desc: ManifoldDescriptor) -> str:
 
 # -- reports -------------------------------------------------------------------
 
-def _trace_row(contribution):
-    row = [contribution.summand.render(), contribution.group.render()]
-    if contribution.implied:
-        row.append("implied")
-    return row
+def _trace_rows(w, comp):
+    """One row per summand of w, rendered once per run of equal summands."""
+    rows = []
+    i = 0
+    for _, n in w.runs():
+        c = comp.contributions[i]
+        row = [c.summand.render(), c.group.render()]
+        if c.implied:
+            row.append("implied")
+        rows += [row.copy() for _ in range(n)]
+        i += n
+    return rows
 
 
 def _expected_shift(hm, i, shift):
@@ -451,11 +473,11 @@ def build_report(desc, mode="single", run_checks=True):
         report["single_suspension_note"] = single_reason
     traces = {}
     if k_comp is not None:
-        traces["k"] = [_trace_row(c) for c in k_comp.contributions]
+        traces["k"] = _trace_rows(double, k_comp)
     if ko_comp is not None:
-        traces["ko"] = [_trace_row(c) for c in ko_comp.contributions]
+        traces["ko"] = _trace_rows(double, ko_comp)
     if cross is not None:
-        traces["pi4_sigma"] = [_trace_row(c) for c in cross.contributions]
+        traces["pi4_sigma"] = _trace_rows(single, cross)
     report["traces"] = traces
 
     checks = {}

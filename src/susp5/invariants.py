@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from susp5.abgroup import FgAbGroup, direct_sum
+from susp5.abgroup import FgAbGroup, direct_sum, direct_sum_counted
 from susp5.decompose import ManifoldDescriptor
 from susp5.spaces import (
     CHANG_ETA,
@@ -179,14 +179,22 @@ def ko_closed_form(desc: ManifoldDescriptor) -> FgAbGroup:
     return FgAbGroup.from_primary(desc.l, [(2, 1)] * n)
 
 
-def _assemble(summands, table) -> GroupComputation:
-    contribs = tuple(Contribution(s, table(s)) for s in summands)
-    return GroupComputation(direct_sum(*(c.group for c in contribs)), contribs)
+def _assemble(w: Wedge, entry) -> GroupComputation:
+    """Direct sum of a per-summand entry, looked up once per run of equal
+    summands; entry maps a summand to (group, implied).  The trace keeps
+    one contribution per summand."""
+    contribs: list[Contribution] = []
+    parts = []
+    for s, n in w.runs():
+        g, implied = entry(s)
+        contribs += [Contribution(s, g, implied)] * n
+        parts.append((g, n))
+    return GroupComputation(direct_sum_counted(parts), tuple(contribs))
 
 
 def k_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
     """Reduced complex K-theory, read off the double suspension wedge."""
-    comp = _assemble(double.summands, k_of_summand)
+    comp = _assemble(double, lambda s: (k_of_summand(s), False))
     if comp.group != k_closed_form(desc):
         raise BalanceError("complex K-theory table out of balance")
     return comp
@@ -194,7 +202,7 @@ def k_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
 
 def ko_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
     """Reduced real K-theory, read off the double suspension wedge."""
-    comp = _assemble(double.summands, ko_of_summand)
+    comp = _assemble(double, lambda s: (ko_of_summand(s), False))
     if comp.group != ko_closed_form(desc):
         raise BalanceError("real K-theory table out of balance")
     return comp
@@ -235,14 +243,8 @@ def pi3(desc: ManifoldDescriptor) -> FgAbGroup:
 
 def pi4_sigma_crosscheck(single: Wedge) -> GroupComputation:
     """Recompute pi3 as maps from the single suspension wedge to the
-    four-sphere, one summand at a time."""
-    contribs = []
-    for s in single.summands:
-        g, implied = maps_to_s4(s)
-        contribs.append(Contribution(s, g, implied))
-    return GroupComputation(
-        direct_sum(*(c.group for c in contribs)), tuple(contribs)
-    )
+    four-sphere, one run of equal summands at a time."""
+    return _assemble(single, maps_to_s4)
 
 
 def hurewicz_cohomotopy(desc: ManifoldDescriptor, i: int) -> FgAbGroup:

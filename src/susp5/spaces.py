@@ -13,9 +13,10 @@ immediately, which keeps wedge normal forms unique.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
 
-from susp5.abgroup import FgAbGroup, _prime_power_factors, direct_sum
+from susp5.abgroup import FgAbGroup, _prime_power_factors, direct_sum_counted
 
 SPHERE = "sphere"
 MOORE = "moore"
@@ -111,7 +112,7 @@ class ElementaryComplex:
 
     def suspend(self) -> "ElementaryComplex":
         """Suspension: same variant, every cell shifted up one dimension."""
-        return replace(self, dim=self.dim + 1)
+        return ElementaryComplex(self.kind, self.dim + 1, self.order, self.r)
 
     def weight(self) -> int:
         """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
@@ -186,44 +187,73 @@ class Wedge:
     """A finite wedge of elementary complexes in canonical order.
 
     The canonical order sorts by (top dimension, variant, parameters); the
-    one-point wedge of nothing is allowed and renders as 'pt'.
+    one-point wedge of nothing is allowed and renders as 'pt'.  sort_key
+    determines a summand, so in canonical order equal summands are adjacent
+    and the wedge is read one run of equal summands at a time.
     """
 
     summands: tuple[ElementaryComplex, ...] = ()
+    _runs: tuple[tuple[ElementaryComplex, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        if list(self.summands) != sorted(self.summands, key=ElementaryComplex.sort_key):
-            raise ValueError("wedge summands not in canonical order; use wedge()")
+        # Runs of one repeated object are found without calling __eq__; an
+        # equal summand held by another object has the same key and joins
+        # the run before it.
+        runs: list[tuple[ElementaryComplex, int]] = []
+        last = None
+        for _, g in groupby(self.summands, key=id):
+            same = list(g)
+            key = same[0].sort_key()
+            if last is None or key > last:
+                runs.append((same[0], len(same)))
+            elif key == last:
+                runs[-1] = (runs[-1][0], runs[-1][1] + len(same))
+            else:
+                raise ValueError("wedge summands not in canonical order; use wedge()")
+            last = key
+        object.__setattr__(self, "_runs", tuple(runs))
+
+    def runs(self) -> tuple[tuple[ElementaryComplex, int], ...]:
+        """(summand, multiplicity) for each run of equal summands, in order."""
+        return self._runs
 
     def homology(self) -> dict[int, FgAbGroup]:
         """Reduced homology of the wedge (degreewise direct sum)."""
-        acc: dict[int, list[FgAbGroup]] = {}
-        for cx in self.summands:
+        acc: dict[int, list[tuple[FgAbGroup, int]]] = {}
+        for cx, n in self._runs:
             for deg, grp in cx.reduced_homology().items():
-                acc.setdefault(deg, []).append(grp)
-        return {deg: direct_sum(*parts) for deg, parts in sorted(acc.items())}
+                acc.setdefault(deg, []).append((grp, n))
+        return {deg: direct_sum_counted(parts) for deg, parts in sorted(acc.items())}
 
     def homology_in(self, degree: int) -> FgAbGroup:
         return self.homology().get(degree, FgAbGroup.trivial())
 
     def suspend(self) -> "Wedge":
-        return wedge(*(cx.suspend() for cx in self.summands))
+        """Suspend one summand per run; suspension keeps the canonical order."""
+        return Wedge(tuple(chain.from_iterable(repeat(cx.suspend(), n) for cx, n in self._runs)))
 
     def weight(self) -> int:
-        return sum(cx.weight() for cx in self.summands)
+        return sum(cx.weight() * n for cx, n in self._runs)
 
     def top_dim(self) -> int:
-        return max((cx.dim for cx in self.summands), default=0)
+        return self.summands[-1].dim if self.summands else 0
 
     def render(self) -> str:
         if not self.summands:
             return "pt"
-        return " v ".join(cx.render() for cx in self.summands)
+        return " v ".join(chain.from_iterable(repeat(cx.render(), n) for cx, n in self._runs))
 
     def __str__(self) -> str:
         return self.render()
 
 
 def wedge(*summands: ElementaryComplex) -> Wedge:
-    """Normalize a collection of summands into the canonical wedge."""
-    return Wedge(tuple(sorted(summands, key=ElementaryComplex.sort_key)))
+    """Normalize a collection of summands into the canonical wedge.
+
+    A run of one repeated object is sorted as a whole, so a list like
+    [sphere(2)] * l costs one sort key."""
+    runs = [list(g) for _, g in groupby(summands, key=id)]
+    runs.sort(key=lambda same: same[0].sort_key())
+    return Wedge(tuple(chain.from_iterable(runs)))

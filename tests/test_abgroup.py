@@ -8,6 +8,8 @@ the diagonal is (2, 4).
 from __future__ import annotations
 
 import math
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -181,6 +183,13 @@ class TestCanonicalForm:
             tracemalloc.stop()
         assert peak < 50_000
 
+    def test_free_ranks_of_2_64_or_more_are_out_of_range(self):
+        assert FgAbGroup.from_string(f"Z^{ORDER_BOUND - 1}").free_rank == ORDER_BOUND - 1
+        assert FgAbGroup.from_string("Z^" + "0" * 5000 + "3").free_rank == 3
+        for bad in (f"Z^{ORDER_BOUND}", "Z^" + "9" * 5000):
+            with pytest.raises(OrderRangeError, match="is not below 2\\^64"):
+                FgAbGroup.from_string(bad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())
@@ -225,10 +234,25 @@ def test_prime_power_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
     cases = list(range(2, 20_001))
     cases += [p**e for p in sympy.primerange(3, 2000) for e in (1, 2, 3)]
+    # past trial division: values near 2^63, and products of two primes near 2^31
+    rng = random.Random(63)
+    cases += [rng.randrange(2**63 - 2**40, 2**63 + 2**40) for _ in range(16)]
+    near = [sympy.prevprime(2**31 - rng.randrange(10**7)) for _ in range(12)]
+    cases += [p * q for p, q in zip(near[::2], near[1::2])]
+    cases += [p * p for p in near[:2]] + [2 * 3**5 * p * q for p, q in zip(near[:2], near[2:4])]
+    cases.append(3825123056546413051)  # a strong pseudoprime to every base 2..23
     for k in cases:
         got = _prime_power_factors(k)
         assert isinstance(got, tuple)
         assert list(got) == sorted(sympy.factorint(k).items()), k
+
+
+@pytest.mark.parametrize("k", [100000000000000003, 1000000000039])
+def test_large_primes_factor_within_a_second(k):
+    # trial division took over 10 s on the first and 1.8 s on the second
+    start = time.perf_counter()
+    assert _prime_power_factors.__wrapped__(k) == ((k, 1),)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_prime_power_factor_memo_is_bounded():

@@ -312,6 +312,57 @@ def test_free_rank_is_counted_not_expanded(rank):
     assert peak < 50_000
 
 
+@pytest.mark.parametrize("rank", [str(2**64), "9" * 5000])
+def test_free_rank_of_2_64_or_more_is_a_located_range_error(rank):
+    # 5000 digits are past int()'s own limit, which used to surface as a syntax error
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(f"l = 1\nd = 1\nspin = true\nT = Z^{rank}\n")
+    err = ei.value
+    assert (err.kind, err.line, err.column) == ("range", 4, 5)
+    assert err.message.endswith("is not below 2^64")
+
+
+_BIG = "9" * 5000  # past int()'s 4300-digit limit, which used to end in a traceback
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (f"l = {_BIG}\nd = 1\nspin = true\n", "1:5", "l must be at most 4096"),
+        ("l = 4097\nd = 1\nspin = true\n", "1:5", "l must be at most 4096"),
+        ("l = 1\nd = 4097\nspin = true\n", "2:5", "d must be at most 4096"),
+        (f"l = 2\nd = 1\nspin = true\nc1 = {_BIG}\n", "4:6", "c1 must be below 2^64"),
+        (
+            f"{MINIMAL}T = Z/2\nconsumed = [0, {_BIG}]\n",
+            "5:12",
+            "consumed index must be below 2^64",
+        ),
+        (
+            f"{MINIMAL}T = Z/2\ncase = tilde_eta({_BIG})\n",
+            "5:8",
+            "case index must be below 2^64",
+        ),
+        (
+            f"{MINIMAL}T = Z/2\n[h_matrix]\nsphere = eta\nmoore r={_BIG} = 0\n",
+            "7:1",
+            "moore exponent must be below 2^64",
+        ),
+    ],
+    ids=["l-digits", "l-cap", "d-cap", "c1", "consumed", "case", "moore-r"],
+)
+def test_oversized_integers_are_located_range_errors(tmp_path, text, where, message):
+    p = tmp_path / "big.txt"
+    p.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    assert run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err) == 2
+    assert err.getvalue() == f"{p}:{where}: range error: {message}\n"
+
+
+def test_l_and_d_cap_is_inclusive():
+    desc = parse_descriptor_text("l = 4096\nd = 0004096\nspin = true\n")
+    assert (desc.l, desc.d) == (4096, 4096)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**9))
 def test_render_parse_round_trip(seed):
