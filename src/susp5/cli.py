@@ -12,6 +12,12 @@ the incidence matrix row by row (``sphere = eta 0``, ``moore r=2 = 0 i3eta``)
 and an optional ``[phi]`` block gives the top-attachment components as bit
 rows (x, y, z, eps, w) relative to the reduced matrix; the normal form is
 then computed.  ``#`` starts a comment.
+
+The parser passes the matrix and the phi rows by name to
+decompose.resolve_attaching_data, which reduces the matrix once and sizes
+every row from that reduction.  An error about one phi row is reported at
+that row; one about the matrix as a whole, or about a value the matrix
+route derives, at the ``[h_matrix]`` header.
 """
 from __future__ import annotations
 
@@ -44,13 +50,7 @@ from susp5.invariants import (
     pi3,
     pi4_sigma_crosscheck,
 )
-from susp5.reduction import (
-    AttachCase,
-    AttachingDataError,
-    HMatrix,
-    PhiVector,
-    reduce_h_matrix,
-)
+from susp5.reduction import AttachCase, AttachingDataError, HMatrix
 
 _0 = FgAbGroup.trivial()
 
@@ -102,8 +102,8 @@ class _Parser:
         self.scalars: dict[str, tuple[str, int, int]] = {}
         self.sphere_rows: list[tuple[tuple[int, ...], int]] = []
         self.moore_rows: list[tuple[int, tuple[int, ...], int]] = []
-        self.phi_rows: dict[str, tuple[tuple[int, ...], int]] = {}
-        self.saw_matrix = False
+        self.phi_rows: dict[str, tuple[tuple[int, ...], int, int]] = {}
+        self.matrix_line = 0  # the [h_matrix] header, 0 without one
         self.saw_phi = False
         self._scan(text)
 
@@ -121,9 +121,9 @@ class _Parser:
                 continue
             if stripped.startswith("["):
                 if stripped == "[h_matrix]":
-                    if self.saw_matrix:
+                    if self.matrix_line:
                         self.error("consistency", "duplicate [h_matrix] block", lineno, 1)
-                    self.saw_matrix = True
+                    self.matrix_line = lineno
                     section = "h_matrix"
                 elif stripped == "[phi]":
                     if self.saw_phi:
@@ -184,7 +184,7 @@ class _Parser:
         if key in self.phi_rows:
             self.error("consistency", f"duplicate phi component {key!r}", lineno, 1)
         bits = self._entries(rest, {"0": 0, "1": 1}, lineno, allow_empty=True)
-        self.phi_rows[key] = (bits, lineno)
+        self.phi_rows[key] = (bits, lineno, 1)
 
     def _entries(self, text, vocab, lineno, allow_empty=False):
         out = []
@@ -288,12 +288,12 @@ class _Parser:
             smooth = not pd_mode
 
         inv_given = [k for k in _INVARIANT_ROUTE_KEYS if k in self.scalars]
-        if inv_given and self.saw_matrix:
+        if inv_given and self.matrix_line:
             self.error(
                 "consistency",
                 "give invariant-level attaching data or an [h_matrix] block, not both",
             )
-        if self.saw_phi and not self.saw_matrix:
+        if self.saw_phi and not self.matrix_line:
             self.error("consistency", "a [phi] block needs an [h_matrix] block")
 
         common = dict(
@@ -301,7 +301,7 @@ class _Parser:
             spin=spin, smooth=smooth,
         )
         try:
-            if self.saw_matrix:
+            if self.matrix_line:
                 return self._build_from_matrix(common)
             return ManifoldDescriptor(
                 c1=self._int("c1") if "c1" in self.scalars else 0,
@@ -310,53 +310,21 @@ class _Parser:
                 case=self._case() if "case" in self.scalars else AttachCase("null"),
                 **common,
             )
-        except DescriptorError as exc:
-            # at the key's value; a key the file lacks (a derived value) stays at line 0
-            _, line, col = self.scalars.get(exc.key, ("", 0, 0))
+        except (DescriptorError, AttachingDataError) as exc:
+            # at the key or phi row the error is about; anything else the
+            # matrix route derives or checks as a whole, at its header
+            header = ("", self.matrix_line, 1 if self.matrix_line else 0)
+            _, line, col = {**self.scalars, **self.phi_rows}.get(exc.key, header)
             self.error("consistency", str(exc), line, col)
 
     def _build_from_matrix(self, common) -> ManifoldDescriptor:
-        try:
-            h = HMatrix(
-                sphere_rows=tuple(bits for bits, _ in self.sphere_rows),
-                moore_rows=tuple(bits for _, bits, _ in self.moore_rows),
-                moore_exponents=tuple(r for r, _, _ in self.moore_rows),
-            )
-        except AttachingDataError as exc:
-            self.error("consistency", str(exc))
-        phi = red = None
-        if self.saw_phi:
-            red = reduce_h_matrix(h)
-            exps = h.moore_exponents
-            unconsumed = [j for j in range(len(exps)) if j not in red.consumed]
-
-            def bits_for(name, nslots):
-                if name in self.phi_rows:
-                    bits, line = self.phi_rows[name]
-                    if len(bits) != nslots:
-                        self.error(
-                            "consistency",
-                            f"phi component {name!r} needs {nslots} entries here",
-                            line,
-                            1,
-                        )
-                    return bits
-                return (0,) * nslots
-
-            z = bits_for("z", len(unconsumed))
-            eps = bits_for("eps", len(unconsumed))
-            phi = PhiVector(
-                x=bits_for("x", common["d"] - red.c1),
-                y=bits_for("y", common["d"]),
-                moore=tuple(zb + 2 * eb for zb, eb in zip(z, eps)),
-                moore_exponents=tuple(exps[j] for j in unconsumed),
-                w=bits_for("w", len(red.consumed)),
-                consumed_exponents=tuple(exps[j] for j in red.consumed),
-            )
-        try:
-            return resolve_attaching_data(h_matrix=h, phi=phi, reduction=red, **common)
-        except AttachingDataError as exc:
-            self.error("consistency", str(exc))
+        h = HMatrix(
+            sphere_rows=tuple(bits for bits, _ in self.sphere_rows),
+            moore_rows=tuple(bits for _, bits, _ in self.moore_rows),
+            moore_exponents=tuple(r for r, _, _ in self.moore_rows),
+        )
+        phi = {key: bits for key, (bits, _, _) in self.phi_rows.items()}
+        return resolve_attaching_data(h_matrix=h, phi=phi, **common)
 
 
 def parse_descriptor_text(text: str, source: str = "<input>") -> ManifoldDescriptor:

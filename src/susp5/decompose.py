@@ -16,6 +16,7 @@ sections.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from susp5.abgroup import FgAbGroup
@@ -24,7 +25,6 @@ from susp5.reduction import (
     AttachingDataError,
     HMatrix,
     PhiVector,
-    ReductionResult,
     reduce_h_matrix,
     reduce_phi,
 )
@@ -271,16 +271,26 @@ def resolve_attaching_data(
     spin: bool,
     smooth: bool,
     h_matrix: HMatrix,
-    phi: PhiVector | None = None,
-    reduction: ReductionResult | None = None,
+    phi: Mapping[str, tuple[int, ...]] | None = None,
 ) -> ManifoldDescriptor:
-    """Build a descriptor from an eta incidence matrix and an optional
-    residual attaching vector (shapes must match the reduced matrix).
+    """Build a descriptor from an eta incidence matrix and the residual
+    attaching vector phi, given as 0/1 rows by the descriptor file's
+    component names relative to the reduced matrix: x on the free
+    three-spheres, y on the four-spheres, z and eps (the lift and the
+    included eta^2) on the unconsumed Moore summands, w on the consumed
+    ones.  A missing component is all zeros; the matrix is reduced once.
 
-    A caller that has already sized phi from reduce_h_matrix(h_matrix)
-    passes that result as reduction, so the matrix is reduced once."""
+    >>> inv = dict(l=1, d=1, h1_torsion=FgAbGroup.trivial(),
+    ...            h2_torsion=FgAbGroup.from_string("Z/4"), spin=False, smooth=True)
+    >>> h = HMatrix(sphere_rows=((0,),), moore_rows=((0,),), moore_exponents=(2,))
+    >>> resolve_attaching_data(h_matrix=h, phi={"z": (1,)}, **inv).case
+    AttachCase(kind='tilde_eta', index=0, r=2)
+    >>> resolve_attaching_data(h_matrix=h, phi={"z": (1, 0)}, **inv)
+    Traceback (most recent call last):
+    ...
+    susp5.reduction.AttachingDataError: phi component 'z' needs 1 entries here
+    """
     exps = h2_torsion.primary_exponents(2)
-    t2 = len(exps)
     if len(h_matrix.sphere_rows) != d:
         raise AttachingDataError("h_matrix needs one sphere row per free class")
     if h_matrix.moore_exponents != exps:
@@ -290,38 +300,30 @@ def resolve_attaching_data(
     if h_matrix.num_columns != l:
         raise AttachingDataError("h_matrix needs one column per source class")
 
-    res = reduction if reduction is not None else reduce_h_matrix(h_matrix)
+    res = reduce_h_matrix(h_matrix)
     c1, c2, consumed = res.c1, res.c2, res.consumed
-    unconsumed = tuple(j for j in range(t2) if j not in consumed)
-
-    expected = dict(
-        x=d - c1,
-        y=d,
-        moore=t2 - c2,
-        w=c2,
+    unconsumed = tuple(j for j in range(len(exps)) if j not in consumed)
+    sizes = dict(x=d - c1, y=d, z=len(unconsumed), eps=len(unconsumed), w=c2)
+    phi = phi or {}
+    for key in sorted(phi.keys() - sizes):
+        raise AttachingDataError(f"unknown phi component {key!r}", key)
+    rows = {}
+    for key, n in sizes.items():
+        rows[key] = bits = tuple(phi.get(key, (0,) * n))
+        if len(bits) != n:
+            raise AttachingDataError(f"phi component {key!r} needs {n} entries here", key)
+        if bits.count(0) + bits.count(1) != n:
+            raise AttachingDataError(f"phi component {key!r} entries must be 0 or 1", key)
+    vector = PhiVector(
+        rows["x"],
+        rows["y"],
+        tuple(z + 2 * eps for z, eps in zip(rows["z"], rows["eps"])),
+        tuple(exps[j] for j in unconsumed),
+        rows["w"],
+        tuple(exps[j] for j in consumed),
     )
-    if phi is None:
-        phi = PhiVector(
-            x=(0,) * expected["x"],
-            y=(0,) * expected["y"],
-            moore=(0,) * expected["moore"],
-            moore_exponents=tuple(exps[j] for j in unconsumed),
-            w=(0,) * expected["w"],
-            consumed_exponents=tuple(exps[j] for j in consumed),
-        )
-    else:
-        got = dict(x=len(phi.x), y=len(phi.y), moore=len(phi.moore), w=len(phi.w))
-        if got != expected:
-            raise AttachingDataError(
-                f"phi component lengths {got} do not match the reduced matrix "
-                f"(expected {expected})"
-            )
-        if phi.moore_exponents != tuple(exps[j] for j in unconsumed):
-            raise AttachingDataError("phi Moore exponents disagree with h2")
-        if phi.consumed_exponents != tuple(exps[j] for j in consumed):
-            raise AttachingDataError("phi consumed exponents disagree with h2")
 
-    case = reduce_phi(phi, smooth=smooth)
+    case = reduce_phi(vector, smooth=smooth)
     slots = CASES[case.kind].index
     if slots is not None:
         indices = consumed if slots == "consumed" else unconsumed

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 
 class AttachingDataError(ValueError):
-    """Attaching data violates a structural constraint."""
+    """Attaching data violates a structural constraint; key names the phi
+    component (x, y, z, eps or w) the error is about, if any."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 # -- eta incidence matrix -----------------------------------------------------
@@ -230,7 +235,6 @@ class PhiVector:
         lift is the included eta^2), above it encodes z + 2*eps for the
         Z/2 lift and the Z/2 included eta^2
     w: i_P eta~ coefficients on the consumed two-stage pieces (F2)
-    whitehead: degree-type components, required to vanish
     """
 
     x: tuple[int, ...]
@@ -239,7 +243,6 @@ class PhiVector:
     moore_exponents: tuple[int, ...]
     w: tuple[int, ...]
     consumed_exponents: tuple[int, ...]
-    whitehead: int = 0
 
     def __post_init__(self):
         bits, slots = self.x + self.y + self.w, self.moore
@@ -253,8 +256,6 @@ class PhiVector:
             raise AttachingDataError("one exponent per consumed slot required")
         if any(e < 1 for e in self.moore_exponents + self.consumed_exponents):
             raise AttachingDataError("exponents must be at least 1")
-        if self.whitehead != 0:
-            raise AttachingDataError("degree-type components must vanish")
 
 
 def _z_active(phi: PhiVector, i: int) -> bool:
@@ -295,10 +296,12 @@ def reduce_phi(phi: PhiVector, smooth: bool) -> AttachCase:
     """
     if smooth:
         if any(phi.x):
-            raise AttachingDataError("eta^2 components are not allowed for smooth input")
+            raise AttachingDataError(
+                "eta^2 components are not allowed for smooth input", "x"
+            )
         if any(_eps_active(phi, i) for i in range(len(phi.moore))):
             raise AttachingDataError(
-                "included eta^2 components are not allowed for smooth input"
+                "included eta^2 components are not allowed for smooth input", "eps"
             )
     z_cand = [
         (phi.moore_exponents[i], 0, i)

@@ -142,21 +142,32 @@ def test_chain_level_file_is_reduced_once(monkeypatch):
         calls.append(h)
         return reduction.reduce_h_matrix(h)
 
-    monkeypatch.setattr(cli, "reduce_h_matrix", counted)
     monkeypatch.setattr(decompose, "reduce_h_matrix", counted)
     desc = parse_descriptor_text(_readme_example())
     assert desc.case == AttachCase("tilde_eta", 0, 2)
     assert len(calls) == 1
 
 
-def test_mis_sized_phi_row_is_located():
-    text = _readme_example().replace("z = 1", "z = 1 0")
+@pytest.mark.parametrize(
+    "row, line, size",
+    [("x", 13, 1), ("y", 14, 1), ("z", 15, 1), ("eps", 16, 1), ("w", 17, 0)],
+    ids=["x", "y", "z", "eps", "w"],
+)
+def test_mis_sized_phi_row_is_located(row, line, size):
+    # README's example reduces to one free three-sphere, one four-sphere and
+    # one unconsumed Moore summand and consumes none; every phi row below has
+    # that size except `row`, which is one entry too long
+    rows = [("x", 1), ("y", 1), ("z", 1), ("eps", 1), ("w", 0)]
+    text = _readme_example().replace("z = 1\n", "") + "".join(
+        f"{k} = {' '.join('0' * (n + (k == row)))}\n" for k, n in rows
+    )
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text(text, source="example.txt")
     err = ei.value
-    assert (err.kind, err.line, err.column) == ("consistency", 13, 1)
+    assert (err.kind, err.line, err.column) == ("consistency", line, 1)
     assert str(err) == (
-        "example.txt:13:1: consistency error: phi component 'z' needs 1 entries here"
+        f"example.txt:{line}:1: consistency error: "
+        f"phi component {row!r} needs {size} entries here"
     )
 
 
@@ -272,9 +283,9 @@ def test_descriptor_inconsistency_reported():
             "f.txt:4:6: consistency error: c1 must satisfy 0 <= c1 <= min(l, d)",
         ),
         (
-            # the matrix route derives the case: no key to point at
+            # the matrix route derives the case: at the [h_matrix] header
             PHI.replace("spin = false", "spin = true"),
-            "f.txt: consistency error: "
+            "f.txt:7:1: consistency error: "
             "case 'eta' is not allowed for this spin/smooth combination",
         ),
     ],
@@ -284,6 +295,56 @@ def test_descriptor_error_is_located_at_its_key(text, message):
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text(text, source="f.txt")
     assert ei.value.kind == "consistency"
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("eta 0", "eta", "rows of unequal length"),
+        ("d = 1", "d = 2", "h_matrix needs one sphere row per free class"),
+        (
+            "T = Z/2",
+            "T = Z/4",
+            "h_matrix Moore exponents must match the two-primary part of h2",
+        ),
+        ("l = 2", "l = 3", "h_matrix needs one column per source class"),
+    ],
+    ids=["unequal-rows", "sphere-rows", "moore-exponents", "columns"],
+)
+def test_matrix_shape_error_is_located_at_the_header(old, new, message):
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(MATRIX.replace(old, new), source="f.txt")
+    assert str(ei.value) == f"f.txt:8:1: consistency error: {message}"
+
+
+def test_shape_error_takes_precedence_over_phi_sizing():
+    text = MATRIX.replace("l = 2", "l = 3") + "\n[phi]\nx = 0 0 0\n"
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(text, source="f.txt")
+    assert str(ei.value) == (
+        "f.txt:8:1: consistency error: h_matrix needs one column per source class"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            PHI.replace("y = 1", "x = 1"),
+            "f.txt:11:1: consistency error: eta^2 components are not allowed for smooth input",
+        ),
+        (
+            _readme_example().replace("z = 1", "eps = 1"),
+            "f.txt:13:1: consistency error: "
+            "included eta^2 components are not allowed for smooth input",
+        ),
+    ],
+    ids=["x", "eps"],
+)
+def test_smooth_eta_sq_component_is_located_at_its_row(text, message):
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(text, source="f.txt")
     assert str(ei.value) == message
 
 
@@ -368,6 +429,52 @@ def test_l_and_d_cap_is_inclusive():
 def test_render_parse_round_trip(seed):
     d0 = random_descriptor(random.Random(seed))
     assert parse_descriptor_text(render_descriptor(d0)) == d0
+
+
+@st.composite
+def matrix_route_texts(draw):
+    """An [h_matrix] + [phi] file of a random small shape.  Each count is
+    drawn near the one its invariants ask for, so some files are consistent
+    and the rest miss in one place or several."""
+    near = st.sampled_from([0, 1, 1, 2, 2, 3, 3])
+    l, d = draw(near), draw(near)
+    exps = sorted(draw(st.lists(st.integers(1, 3), max_size=3)))
+    torsion = " + ".join([f"Z/2^{e}" for e in exps] + draw(st.sampled_from([[], ["Z/3"]])))
+    cols = draw(st.sampled_from([l] * 6 + [l + 1, max(l - 1, 0)]))
+    lines = [
+        f"l = {l}",
+        f"d = {d}",
+        f"H = {draw(st.sampled_from(['0', '0', '0', 'Z/3', 'Z/2']))}",
+        f"T = {torsion or '0'}",
+        f"spin = {draw(st.sampled_from(['true', 'false']))}",
+        f"smooth = {draw(st.sampled_from(['true', 'false']))}",
+        "[h_matrix]",
+    ]
+
+    def entries(vocab, n):
+        return " ".join(draw(st.lists(st.sampled_from(vocab), min_size=n, max_size=n)))
+
+    for _ in range(draw(st.sampled_from([d] * 6 + [d + 1]))):
+        lines.append(f"sphere = {entries(['0', 'eta'], cols)}")
+    shuffled = draw(st.integers(0, 3)) == 0  # Moore rows out of order: a shape error
+    for e in draw(st.permutations(exps)) if shuffled else exps:
+        lines.append(f"moore r={e} = {entries(['0', 'i3eta'], cols)}")
+    if draw(st.booleans()):
+        lines.append("[phi]")
+        for key in draw(st.lists(st.sampled_from(["x", "y", "z", "eps", "w"]), unique=True)):
+            lines.append(f"{key} = {entries(['0', '1'], draw(st.integers(0, 3)))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_route_texts())
+def test_matrix_route_parses_or_is_located(text):
+    try:
+        d0 = parse_descriptor_text(text)
+    except ParseError as exc:
+        assert exc.line >= 1, str(exc)
+    else:
+        assert parse_descriptor_text(render_descriptor(d0)) == d0
 
 
 def test_build_report_contents():

@@ -20,7 +20,7 @@ from susp5.decompose import (
     resolve_attaching_data,
     suspension_decomposition,
 )
-from susp5.reduction import AttachCase, AttachingDataError, HMatrix, PhiVector
+from susp5.reduction import AttachCase, AttachingDataError, HMatrix
 
 Z0 = FgAbGroup.trivial()
 
@@ -287,9 +287,7 @@ def test_resolve_from_matrix():
 
 def test_resolve_with_phi():
     h = HMatrix(sphere_rows=((0,),), moore_rows=(), moore_exponents=())
-    phi = PhiVector(
-        x=(0,), y=(1,), moore=(), moore_exponents=(), w=(), consumed_exponents=()
-    )
+    phi = {"y": (1,)}  # x is missing, so all zeros
     d0 = resolve_attaching_data(
         l=1,
         d=1,
@@ -309,14 +307,7 @@ def test_resolve_maps_slot_to_global_index():
     h = HMatrix(
         sphere_rows=((0, 0),), moore_rows=((1, 1), (1, 1)), moore_exponents=(1, 2)
     )
-    phi = PhiVector(
-        x=(0,),
-        y=(0,),
-        moore=(1,),
-        moore_exponents=(1,),
-        w=(0,),
-        consumed_exponents=(2,),
-    )
+    phi = {"x": (0,), "y": (0,), "z": (1,), "eps": (0,), "w": (0,)}
     d0 = resolve_attaching_data(
         l=2,
         d=1,
@@ -353,7 +344,7 @@ def test_resolve_shape_errors():
             smooth=True,
             h_matrix=HMatrix(((1,),), ((1,),), (2,)),
         )
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(AttachingDataError) as ei:
         resolve_attaching_data(
             l=1,
             d=1,
@@ -362,10 +353,32 @@ def test_resolve_shape_errors():
             spin=False,
             smooth=True,
             h_matrix=HMatrix(((0,),), (), ()),
-            phi=PhiVector(
-                x=(0, 0), y=(1,), moore=(), moore_exponents=(), w=(), consumed_exponents=()
-            ),
+            phi={"x": (0, 0), "y": (1,)},
         )
+    assert (str(ei.value), ei.value.key) == ("phi component 'x' needs 1 entries here", "x")
+
+
+@pytest.mark.parametrize(
+    "phi, message, key",
+    [
+        ({"y": (2,)}, "phi component 'y' entries must be 0 or 1", "y"),
+        ({"moore": (1,), "y": (1,)}, "unknown phi component 'moore'", "moore"),
+    ],
+    ids=["entry", "unknown"],
+)
+def test_resolve_rejects_malformed_phi(phi, message, key):
+    with pytest.raises(AttachingDataError) as ei:
+        resolve_attaching_data(
+            l=1,
+            d=1,
+            h1_torsion=Z0,
+            h2_torsion=Z0,
+            spin=False,
+            smooth=True,
+            h_matrix=HMatrix(((0,),), (), ()),
+            phi=phi,
+        )
+    assert (str(ei.value), ei.value.key) == (message, key)
 
 
 def test_resolve_nonspin_needs_eta():

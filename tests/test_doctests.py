@@ -23,3 +23,4 @@ def test_module_doctests(name):
 def test_doctests_are_found():
     # a module whose examples stop being collected would otherwise pass silently
     assert doctest.testmod(importlib.import_module("susp5.abgroup")).attempted >= 8
+    assert doctest.testmod(importlib.import_module("susp5.decompose")).attempted >= 1

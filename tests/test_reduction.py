@@ -235,8 +235,6 @@ def test_phi_validation():
         phi(moore=(4,), exps=(1,))
     with pytest.raises(AttachingDataError):
         phi(moore=(1,), exps=())
-    with pytest.raises(AttachingDataError):
-        PhiVector((), (), (), (), (), (), whitehead=1)
 
 
 @NOT_BITS
