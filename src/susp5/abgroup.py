@@ -302,8 +302,12 @@ class FgAbGroup:
         return cls(rank, ())
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def cyclic(cls, k: int) -> "FgAbGroup":
-        """Z/k for k >= 1 (k == 0 means Z, matching presentation conventions)."""
+        """Z/k for k >= 1 (k == 0 means Z, matching presentation conventions).
+
+        Memoised: the summand tables and Moore summands ask for the same few
+        cyclic groups in every report, and a group is immutable."""
         return cls.from_orders([k])
 
     @classmethod
@@ -415,14 +419,19 @@ class FgAbGroup:
 
     # -- rendering ---------------------------------------------------------
 
+    _text = None  # render()'s text once computed; not a field, so not compared
+
     def render(self) -> str:
-        parts: list[str] = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{p**e}" for p, e in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        """The group as text, e.g. 'Z^2 + Z/4'; computed once per object."""
+        if self._text is None:
+            parts: list[str] = []
+            if self.free_rank == 1:
+                parts.append("Z")
+            elif self.free_rank > 1:
+                parts.append(f"Z^{self.free_rank}")
+            parts.extend(f"Z/{p**e}" for p, e in self.torsion)
+            object.__setattr__(self, "_text", " + ".join(parts) if parts else "0")
+        return self._text
 
     def __str__(self) -> str:
         return self.render()

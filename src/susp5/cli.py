@@ -104,7 +104,10 @@ class _Parser:
         self.moore_rows: list[tuple[int, tuple[int, ...], int]] = []
         self.phi_rows: dict[str, tuple[tuple[int, ...], int, int]] = {}
         self.matrix_line = 0  # the [h_matrix] header, 0 without one
-        self.saw_phi = False
+        self.phi_line = 0  # the [phi] header, 0 without one
+        # where the file ends: after its last newline, or at the end of an
+        # unterminated last line
+        self.end = (text.count("\n") + 1, len(text.rpartition("\n")[2]) + 1)
         self._scan(text)
 
     def error(self, kind: str, msg: str, line: int = 0, col: int = 0) -> NoReturn:
@@ -126,9 +129,9 @@ class _Parser:
                     self.matrix_line = lineno
                     section = "h_matrix"
                 elif stripped == "[phi]":
-                    if self.saw_phi:
+                    if self.phi_line:
                         self.error("consistency", "duplicate [phi] block", lineno, 1)
-                    self.saw_phi = True
+                    self.phi_line = lineno
                     section = "phi"
                 else:
                     self.error("syntax", f"unknown block {stripped}", lineno, 1)
@@ -271,7 +274,7 @@ class _Parser:
     def build(self) -> ManifoldDescriptor:
         for key in ("l", "d", "spin"):
             if key not in self.scalars:
-                self.error("consistency", f"missing required key {key!r}")
+                self.error("consistency", f"missing required key {key!r}", *self.end)
         l = self._int("l")
         d = self._int("d")
         spin = self._bool("spin")
@@ -287,14 +290,16 @@ class _Parser:
                 )
             smooth = not pd_mode
 
-        inv_given = [k for k in _INVARIANT_ROUTE_KEYS if k in self.scalars]
-        if inv_given and self.matrix_line:
+        inv_lines = [self.scalars[k][1] for k in _INVARIANT_ROUTE_KEYS if k in self.scalars]
+        if inv_lines and self.matrix_line:
             self.error(
                 "consistency",
                 "give invariant-level attaching data or an [h_matrix] block, not both",
+                min(inv_lines),
+                1,
             )
-        if self.saw_phi and not self.matrix_line:
-            self.error("consistency", "a [phi] block needs an [h_matrix] block")
+        if self.phi_line and not self.matrix_line:
+            self.error("consistency", "a [phi] block needs an [h_matrix] block", self.phi_line, 1)
 
         common = dict(
             l=l, d=d, h1_torsion=h1, h2_torsion=h2,
@@ -312,9 +317,11 @@ class _Parser:
             )
         except (DescriptorError, AttachingDataError) as exc:
             # at the key or phi row the error is about; anything else the
-            # matrix route derives or checks as a whole, at its header
-            header = ("", self.matrix_line, 1 if self.matrix_line else 0)
-            _, line, col = {**self.scalars, **self.phi_rows}.get(exc.key, header)
+            # matrix route derives or checks as a whole, at its header; on
+            # the invariant route only the default case has no line, and
+            # the spin flag is what rules it out
+            default = ("", self.matrix_line, 1) if self.matrix_line else self.scalars["spin"]
+            _, line, col = {**self.scalars, **self.phi_rows}.get(exc.key, default)
             self.error("consistency", str(exc), line, col)
 
     def _build_from_matrix(self, common) -> ManifoldDescriptor:

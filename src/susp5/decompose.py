@@ -41,6 +41,7 @@ from susp5.spaces import (
     chang_r,
     peterson,
     sphere,
+    summand,
     wedge,
 )
 
@@ -218,7 +219,7 @@ def _section_parts(desc, absorbs=None, j=None) -> list[ElementaryComplex]:
 
 def _single_parts(desc: ManifoldDescriptor) -> list[ElementaryComplex]:
     case = CASES[desc.case.kind]
-    top = ElementaryComplex(case.top, 6, r=desc.case.r or 0)
+    top = summand(case.top, 6, 0, desc.case.r or 0)
     return [sphere(2)] * desc.l + _section_parts(desc, case.absorbs, desc.case.index) + [top]
 
 

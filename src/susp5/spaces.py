@@ -9,10 +9,14 @@ complex, or a squared Hopf map.
 Each variant is one `_Variant` record; cells, homology, weight and rendering
 are all read off it.  Moore spaces of composite order do not exist as single
 variants here; the factories split them into prime-power wedge summands
-immediately, which keeps wedge normal forms unique.
+immediately, which keeps wedge normal forms unique.  The factories,
+suspension and the top pieces of the decompositions go through one bounded
+memo, `summand`, so each distinct summand is built, validated and rendered
+once per process.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 
@@ -67,13 +71,20 @@ class ElementaryComplex:
 
     dim is the top cell dimension; order carries the Moore-space torsion
     order p^e and r the exponent of a 2-primary bottom Moore piece, each
-    used only where the variant calls for it.
+    used only where the variant calls for it.  The sort key, the rendered
+    text and the reduced homology are computed when the summand is built;
+    the factories below build each distinct summand once per process.
     """
 
     kind: str
     dim: int
     order: int = 0
     r: int = 0
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
+    _homology: tuple[tuple[int, FgAbGroup], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         v = _VARIANTS.get(self.kind)
@@ -87,6 +98,17 @@ class ElementaryComplex:
             raise ValueError(f"bad order {self.order} for {self.kind}")
         if (v.param == "r") != (self.r != 0) or self.r < 0:
             raise ValueError(f"bad r {self.r} for {self.kind}")
+        # derived once per summand; reduced_homology explains the homology
+        cells = self.cells()
+        homology = dict.fromkeys(cells, _Z)
+        if v.param is not None:
+            homology[cells[0]] = FgAbGroup.cyclic(self.order or 2**self.r)
+            del homology[cells[1]]
+        object.__setattr__(self, "_homology", tuple(homology.items()))
+        object.__setattr__(self, "_key", (self.dim, v.rank, self.order, self.r))
+        object.__setattr__(
+            self, "_text", v.template.format(n=self.dim, order=self.order, r=self.r)
+        )
 
     # -- structure ----------------------------------------------------------
 
@@ -101,40 +123,48 @@ class ElementaryComplex:
         variant has a torsion parameter, the second cell is glued to the
         bottom cell with degree order (or 2^r), so the bottom cell carries
         Z/order (or Z/2^r) and the second nothing.  Every other cell
-        carries Z.
+        carries Z.  Computed when the summand is built; each call returns
+        a fresh dict.
         """
-        cells = self.cells()
-        out = dict.fromkeys(cells, _Z)
-        if _VARIANTS[self.kind].param is not None:
-            out[cells[0]] = FgAbGroup.cyclic(self.order or 2**self.r)
-            del out[cells[1]]
-        return out
+        return dict(self._homology)
 
     def suspend(self) -> "ElementaryComplex":
         """Suspension: same variant, every cell shifted up one dimension."""
-        return ElementaryComplex(self.kind, self.dim + 1, self.order, self.r)
+        return summand(self.kind, self.dim + 1, self.order, self.r)
 
     def weight(self) -> int:
         """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
         return _VARIANTS[self.kind].weight
 
     def sort_key(self):
-        return (self.dim, _VARIANTS[self.kind].rank, self.order, self.r)
+        return self._key
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        return _VARIANTS[self.kind].template.format(n=self.dim, order=self.order, r=self.r)
+        return self._text
 
     def __str__(self) -> str:
-        return self.render()
+        return self._text
 
 
 # -- factories ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def summand(kind: str, dim: int, order: int, r: int, /) -> ElementaryComplex:
+    """The one summand of key (kind, dim, order, r) in this process.
+
+    Every factory, suspension and top piece goes through here, so a batch of
+    reports builds and validates each distinct summand once.  The four
+    arguments are positional and all required, so one key is one cache
+    entry; an invalid key raises on every call, since errors are not cached.
+    """
+    return ElementaryComplex(kind, dim, order, r)
+
+
 def sphere(n: int) -> ElementaryComplex:
-    return ElementaryComplex(SPHERE, n)
+    return summand(SPHERE, n, 0, 0)
 
 
 def moore(n: int, k: int) -> list[ElementaryComplex]:
@@ -148,35 +178,35 @@ def peterson(n: int, group: FgAbGroup) -> list[ElementaryComplex]:
     """Moore-space wedge with H_{n-1} equal to the given torsion group."""
     if group.free_rank:
         raise ValueError("only torsion groups have Moore-space wedges here")
-    return [ElementaryComplex(MOORE, n, order=p**e) for p, e in group.torsion]
+    return [summand(MOORE, n, p**e, 0) for p, e in group.torsion]
 
 
 def chang_eta(n: int) -> ElementaryComplex:
-    return ElementaryComplex(CHANG_ETA, n)
+    return summand(CHANG_ETA, n, 0, 0)
 
 
 def chang_r(n: int, r: int) -> ElementaryComplex:
-    return ElementaryComplex(CHANG_R, n, r=r)
+    return summand(CHANG_R, n, 0, r)
 
 
 def moore_eta_lift(n: int, r: int) -> ElementaryComplex:
     """P^{n-2}(2^r) with a top n-cell attached along the lifted Hopf map."""
-    return ElementaryComplex(MOORE_ETA_LIFT, n, r=r)
+    return summand(MOORE_ETA_LIFT, n, 0, r)
 
 
 def chang_ip_eta_lift(n: int, r: int) -> ElementaryComplex:
     """C^{n-1}_r with a top n-cell attached along i_P composed with the lift."""
-    return ElementaryComplex(CHANG_IP_ETA_LIFT, n, r=r)
+    return summand(CHANG_IP_ETA_LIFT, n, 0, r)
 
 
 def sphere_eta_sq(n: int) -> ElementaryComplex:
     """S^{n-3} with a top n-cell attached along the squared Hopf map."""
-    return ElementaryComplex(SPHERE_ETA_SQ, n)
+    return summand(SPHERE_ETA_SQ, n, 0, 0)
 
 
 def moore_eta_sq(n: int, r: int) -> ElementaryComplex:
     """P^{n-2}(2^r) with a top n-cell attached along i composed with eta^2."""
-    return ElementaryComplex(MOORE_ETA_SQ, n, r=r)
+    return summand(MOORE_ETA_SQ, n, 0, r)
 
 
 # -- wedges -------------------------------------------------------------------
@@ -198,22 +228,17 @@ class Wedge:
     )
 
     def __post_init__(self) -> None:
-        # Runs of one repeated object are found without calling __eq__; an
-        # equal summand held by another object has the same key and joins
-        # the run before it.
-        runs: list[tuple[ElementaryComplex, int]] = []
-        last = None
-        for _, g in groupby(self.summands, key=id):
-            same = list(g)
-            key = same[0].sort_key()
-            if last is None or key > last:
-                runs.append((same[0], len(same)))
-            elif key == last:
-                runs[-1] = (runs[-1][0], runs[-1][1] + len(same))
-            else:
-                raise ValueError("wedge summands not in canonical order; use wedge()")
-            last = key
-        object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_runs", _canonical_runs(_id_runs(self.summands)))
+
+    @classmethod
+    def _of_runs(cls, runs: tuple[tuple[ElementaryComplex, int], ...]) -> "Wedge":
+        """The wedge of runs already in canonical form, taken as they are:
+        wedge() and suspend() know their runs, so nothing is regrouped."""
+        w = object.__new__(cls)
+        summands = tuple(chain.from_iterable(repeat(cx, n) for cx, n in runs))
+        object.__setattr__(w, "summands", summands)
+        object.__setattr__(w, "_runs", runs)
+        return w
 
     def runs(self) -> tuple[tuple[ElementaryComplex, int], ...]:
         """(summand, multiplicity) for each run of equal summands, in order."""
@@ -223,7 +248,7 @@ class Wedge:
         """Reduced homology of the wedge (degreewise direct sum)."""
         acc: dict[int, list[tuple[FgAbGroup, int]]] = {}
         for cx, n in self._runs:
-            for deg, grp in cx.reduced_homology().items():
+            for deg, grp in cx._homology:
                 acc.setdefault(deg, []).append((grp, n))
         return {deg: direct_sum_counted(parts) for deg, parts in sorted(acc.items())}
 
@@ -232,7 +257,7 @@ class Wedge:
 
     def suspend(self) -> "Wedge":
         """Suspend one summand per run; suspension keeps the canonical order."""
-        return Wedge(tuple(chain.from_iterable(repeat(cx.suspend(), n) for cx, n in self._runs)))
+        return Wedge._of_runs(tuple((cx.suspend(), n) for cx, n in self._runs))
 
     def weight(self) -> int:
         return sum(cx.weight() * n for cx, n in self._runs)
@@ -243,17 +268,41 @@ class Wedge:
     def render(self) -> str:
         if not self.summands:
             return "pt"
-        return " v ".join(chain.from_iterable(repeat(cx.render(), n) for cx, n in self._runs))
+        return " v ".join(chain.from_iterable(repeat(cx._text, n) for cx, n in self._runs))
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _id_runs(summands) -> list[tuple[ElementaryComplex, int]]:
+    """(summand, count) for each run of one repeated object, found without
+    calling __eq__."""
+    return [(same[0], len(same)) for same in (list(g) for _, g in groupby(summands, key=id))]
+
+
+def _canonical_runs(runs) -> tuple[tuple[ElementaryComplex, int], ...]:
+    """Merge runs whose summands are equal (held by different objects, so of
+    the same key) into the run before; the keys must not decrease."""
+    out: list[tuple[ElementaryComplex, int]] = []
+    last = None
+    for cx, n in runs:
+        key = cx._key
+        if last is None or key > last:
+            out.append((cx, n))
+        elif key == last:
+            out[-1] = (out[-1][0], out[-1][1] + n)
+        else:
+            raise ValueError("wedge summands not in canonical order; use wedge()")
+        last = key
+    return tuple(out)
 
 
 def wedge(*summands: ElementaryComplex) -> Wedge:
     """Normalize a collection of summands into the canonical wedge.
 
     A run of one repeated object is sorted as a whole, so a list like
-    [sphere(2)] * l costs one sort key."""
-    runs = [list(g) for _, g in groupby(summands, key=id)]
-    runs.sort(key=lambda same: same[0].sort_key())
-    return Wedge(tuple(chain.from_iterable(runs)))
+    [sphere(2)] * l costs one sort key, and the runs go to the Wedge as
+    they are."""
+    runs = _id_runs(summands)
+    runs.sort(key=lambda run: run[0]._key)
+    return Wedge._of_runs(_canonical_runs(runs))

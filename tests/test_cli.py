@@ -239,6 +239,40 @@ def test_both_routes_rejected():
     assert ei.value.kind == "consistency" and "not both" in ei.value.message
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (
+            MINIMAL + "\n[phi]\ny = 1\n",
+            "5:1",
+            "a [phi] block needs an [h_matrix] block",
+        ),
+        (
+            # the first invariant-route key in the file, not in key order
+            MATRIX.replace("[h_matrix]", "case = null\nc1 = 0\n\n[h_matrix]"),
+            "8:1",
+            "give invariant-level attaching data or an [h_matrix] block, not both",
+        ),
+        ("l = 1\nspin = true\n", "3:1", "missing required key 'd'"),
+        ("l = 1\nd = 1", "2:6", "missing required key 'spin'"),
+        ("", "1:1", "missing required key 'l'"),
+        (
+            # no case key: the default null case is ruled out by spin
+            "l = 1\nd = 1\nspin = false\n",
+            "3:8",
+            "case 'null' is not allowed for this spin/smooth combination",
+        ),
+    ],
+    ids=["phi-without-matrix", "both-routes", "missing-key", "missing-key-no-newline",
+         "empty-file", "default-case"],
+)
+def test_file_level_error_is_located(tmp_path, monkeypatch, capsys, text, where, message):
+    monkeypatch.chdir(tmp_path)
+    Path("f.txt").write_text(text)
+    assert main(["f.txt"]) == 2
+    assert capsys.readouterr().err == f"f.txt:{where}: consistency error: {message}\n"
+
+
 def test_phi_without_matrix_rejected():
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text(MINIMAL + "\n[phi]\ny = 1\n")
@@ -601,6 +635,34 @@ def test_one_report_builds_the_suspension_wedge_once(monkeypatch, text, mode):
     monkeypatch.setattr(decompose, "_single_parts", counted)
     build_report(parse_descriptor_text(text), mode=mode)
     assert len(calls) == 1
+
+
+def test_a_second_pass_builds_no_summand(monkeypatch):
+    """Each distinct summand is built and validated once per process: a
+    second pass over the same descriptors constructs none."""
+    root = Path(__file__).resolve().parents[1]
+    descs = [
+        parse_descriptor_text(p.read_text())
+        for p in sorted((root / "scripts" / "descriptors").glob("*.txt"))
+    ]
+    assert descs
+
+    def one_pass():
+        for desc in descs:
+            for mode in ("single", "double"):
+                build_report(desc, mode=mode)
+
+    one_pass()
+    built = []
+    post_init = ElementaryComplex.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ElementaryComplex, "__post_init__", counted)
+    one_pass()
+    assert built == []
 
 
 def test_out_file(tmp_path):

@@ -25,6 +25,7 @@ from susp5.spaces import (
     peterson,
     sphere,
     sphere_eta_sq,
+    summand,
     wedge,
 )
 
@@ -142,6 +143,77 @@ class TestValidation:
             peterson(4, FgAbGroup.free(1))
 
 
+# Every invalid summand of TestValidation, as (constructor, arguments).
+INVALID = [
+    (chang_eta, (4,)),
+    (moore_eta_lift, (5, 1)),
+    (sphere_eta_sq, (5,)),
+    (sphere, (0,)),
+    (moore, (4, 1)),
+    (peterson, (4, FgAbGroup.free(1))),
+    (ElementaryComplex, (spaces.SPHERE, 3, 2)),
+    (ElementaryComplex, (spaces.MOORE, 4, 6)),
+    (ElementaryComplex, (spaces.CHANG_R, 5)),
+    (ElementaryComplex, ("mystery", 5)),
+    (summand, (spaces.SPHERE, 3, 2, 0)),
+    (summand, (spaces.MOORE, 4, 6, 0)),
+    (summand, (spaces.CHANG_R, 5, 0, 0)),
+    (summand, ("mystery", 5, 0, 0)),
+]
+
+
+class TestMemo:
+    def test_factories_return_one_object_per_key(self):
+        assert sphere(3) is sphere(3)
+        assert moore(4, 8)[0] is moore(4, 8)[0] is peterson(4, zmod(8))[0]
+        assert chang_r(5, 2) is chang_r(5, 2) is summand(spaces.CHANG_R, 5, 0, 2)
+        assert moore_eta_sq(6, 1) is summand(spaces.MOORE_ETA_SQ, 6, 0, 1)
+
+    def test_suspension_of_a_memoised_summand_is_memoised(self):
+        for cx in all_variants():
+            assert cx.suspend() is cx.suspend() is summand(cx.kind, cx.dim + 1, cx.order, cx.r)
+        assert sphere(3).suspend() is sphere(4)
+        assert chang_r(5, 2).suspend().suspend() is chang_r(7, 2)
+
+    def test_memos_are_bounded(self):
+        assert summand.cache_info().maxsize is not None
+        assert FgAbGroup.cyclic.cache_info().maxsize is not None
+        assert FgAbGroup.cyclic(12) is FgAbGroup.cyclic(12)
+
+    @pytest.mark.parametrize(
+        "make, args", INVALID, ids=[f"{m.__name__}{a}" for m, a in INVALID]
+    )
+    def test_invalid_summands_raise_on_every_call(self, make, args):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as ei:
+                make(*args)
+            messages.append(str(ei.value))
+        assert messages[0] == messages[1]
+
+    def test_direct_summand_equals_the_memoised_one(self):
+        for cx in all_variants():
+            direct = ElementaryComplex(cx.kind, cx.dim, cx.order, cx.r)
+            assert direct is not cx
+            assert direct == cx and hash(direct) == hash(cx)
+            assert direct.render() == cx.render() and direct.sort_key() == cx.sort_key()
+            assert direct.reduced_homology() == cx.reduced_homology()
+            assert repr(direct) == repr(cx)
+
+    def test_direct_and_memoised_summands_share_a_run(self):
+        direct = ElementaryComplex(spaces.SPHERE, 2)
+        parts = [sphere(3), direct, sphere(2), direct, sphere(2)]
+        w = wedge(*parts)
+        assert w.runs() == ((sphere(2), 4), (sphere(3), 1))
+        assert w == Wedge((direct, direct, sphere(2), sphere(2), sphere(3)))
+        assert Wedge(w.summands).runs() == w.runs()
+
+    def test_reduced_homology_is_a_fresh_dict(self):
+        h = sphere(5).reduced_homology()
+        h[99] = Z
+        assert sphere(5).reduced_homology() == {5: Z}
+
+
 class TestWedge:
     def test_normalization_sorts_and_is_idempotent(self):
         w = wedge(sphere(6), moore(4, 3)[0], sphere(2), chang_eta(5))
@@ -181,3 +253,7 @@ class TestWedge:
         w = wedge(*parts)
         assert w.suspend() == wedge(*(cx.suspend() for cx in parts))
         assert w.suspend().homology() == {d + 1: g for d, g in w.homology().items()}
+        # wedge() and suspend() hand their runs over; the checked
+        # constructor finds the same ones
+        for v in (w, w.suspend()):
+            assert Wedge(v.summands).runs() == v.runs()
