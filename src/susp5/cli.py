@@ -117,7 +117,9 @@ class _Parser:
 
     def _scan(self, text: str) -> None:
         section = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # lines end at "\n" only, as self.end counts them: splitlines() would
+        # also break at form feed, NEL and the like inside a comment
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].rstrip()
             stripped = line.strip()
             if not stripped:
@@ -247,14 +249,9 @@ class _Parser:
         if not m:
             *kinds, last = (k if c.index is None else f"{k}(j)" for k, c in CASES.items())
             self.error("syntax", f"case must be {', '.join(kinds)}, or {last}", line, col)
+        # ManifoldDescriptor decides whether the case takes an index
         kind, idx = m.group(1), m.group(2)
-        if CASES[kind].index is None:
-            if idx is not None:
-                self.error("consistency", f"case {kind} takes no index", line, col)
-            return AttachCase(kind)
-        if idx is None:
-            self.error("consistency", f"case {kind} needs a summand index", line, col)
-        return AttachCase(kind, self._nat(idx, "case index", line, col))
+        return AttachCase(kind, None if idx is None else self._nat(idx, "case index", line, col))
 
     def _consumed(self) -> tuple[int, ...]:
         value, line, col = self.scalars["consumed"]
@@ -365,23 +362,15 @@ def render_descriptor(desc: ManifoldDescriptor) -> str:
 
 # -- reports -------------------------------------------------------------------
 
-def _trace_rows(w, comp):
-    """One row per summand of w, rendered once per run of equal summands."""
+def _trace_rows(comp):
+    """One row per summand, rendered once per run of equal summands."""
     rows = []
-    i = 0
-    for _, n in w.runs():
-        c = comp.contributions[i]
+    for c, n in comp.runs:
         row = [c.summand.render(), c.group.render()]
         if c.implied:
             row.append("implied")
         rows += [row.copy() for _ in range(n)]
-        i += n
     return rows
-
-
-def _expected_shift(hm, i, shift):
-    j = i - shift
-    return hm[j] if 1 <= j <= 5 else _0
 
 
 def build_report(desc, mode="single", run_checks=True):
@@ -392,29 +381,25 @@ def build_report(desc, mode="single", run_checks=True):
     mode the single suspension is simply reported as not split and the
     double suspension is built directly.
     """
-    single = None
-    single_reason = None
     try:
-        single = suspension_decomposition(desc)
+        single, note = suspension_decomposition(desc), {}
     except DecompositionError as exc:
-        single_reason = str(exc)
         if mode == "single":
             raise
-        double = double_suspension_decomposition(desc)
-    else:
-        double = single.suspend()
+        single, note = None, {"single_suspension_note": str(exc)}
+    double = single.suspend() if single is not None else double_suspension_decomposition(desc)
     hm = manifold_homology(desc)
 
-    try:
-        k_comp, k_ok = k_group(desc, double), True
-    except BalanceError:
-        k_comp, k_ok = None, False
-    try:
-        ko_comp, ko_ok = ko_group(desc, double), True
-    except BalanceError:
-        ko_comp, ko_ok = None, False
+    # trace name -> computation; a table out of balance has no trace
+    comps = {}
+    for name, compute in (("k", k_group), ("ko", ko_group)):
+        try:
+            comps[name] = compute(desc, double)
+        except BalanceError:
+            pass
     p3 = pi3(desc)
-    cross = pi4_sigma_crosscheck(single) if single is not None else None
+    if single is not None:
+        comps["pi4_sigma"] = pi4_sigma_crosscheck(single)
 
     report = {
         "input": {
@@ -433,6 +418,7 @@ def build_report(desc, mode="single", run_checks=True):
         "mode": mode,
         "case": {"tag": desc.case.kind, "phrase": CASES[desc.case.kind].phrase},
         "single_suspension": single.render() if single is not None else None,
+        **note,
         "double_suspension": double.render(),
         "sections": {f"w{k}": homology_section(desc, k).render() for k in (3, 4, 5)},
         "homology": {str(i): hm[i].render() for i in range(6)},
@@ -443,38 +429,27 @@ def build_report(desc, mode="single", run_checks=True):
             "pi3": p3.render(),
             "pi5": hurewicz_cohomotopy(desc, 5).render(),
         },
+        "traces": {name: _trace_rows(c) for name, c in comps.items()},
+        "checks": {},
     }
-    if single is None:
-        report["single_suspension_note"] = single_reason
-    traces = {}
-    if k_comp is not None:
-        traces["k"] = _trace_rows(double, k_comp)
-    if ko_comp is not None:
-        traces["ko"] = _trace_rows(double, ko_comp)
-    if cross is not None:
-        traces["pi4_sigma"] = _trace_rows(single, cross)
-    report["traces"] = traces
-
-    checks = {}
     if run_checks:
+        # the wedge's reduced homology is M's, shifted up once (single) or twice (double)
         w, shift = (single, 1) if single is not None else (double, 2)
         wh = w.homology()
-        ok = all(
-            wh.get(i, _0) == _expected_shift(hm, i, shift)
-            for i in range(0, w.top_dim() + 2)
-        )
-        checks["homology_shift"] = "ok" if ok else "fail"
+        shifted = {i + shift: hm[i] for i in range(1, 6)}
         h = desc.h1_torsion.num_torsion_summands()
         t = desc.h2_torsion.num_torsion_summands()
-        want = 2 * desc.l + 2 * desc.d + 2 * h + t + 1
-        checks["weight_count"] = "ok" if (single or double).weight() == want else "fail"
-        checks["complex_k_balance"] = "ok" if k_ok else "fail"
-        checks["real_k_balance"] = "ok" if ko_ok else "fail"
-        if cross is None:
-            checks["cohomotopy_crosscheck"] = "skipped (single suspension not split)"
-        else:
-            checks["cohomotopy_crosscheck"] = "ok" if cross.group == p3 else "fail"
-    report["checks"] = checks
+        passed = {
+            "homology_shift": all(
+                wh.get(i, _0) == shifted.get(i, _0) for i in range(w.top_dim() + 2)
+            ),
+            "weight_count": w.weight() == 2 * desc.l + 2 * desc.d + 2 * h + t + 1,
+            "complex_k_balance": "k" in comps,
+            "real_k_balance": "ko" in comps,
+            "cohomotopy_crosscheck": None if single is None else comps["pi4_sigma"].group == p3,
+        }
+        verdict = {True: "ok", False: "fail", None: "skipped (single suspension not split)"}
+        report["checks"] = {name: verdict[ok] for name, ok in passed.items()}
     return report
 
 
@@ -528,6 +503,20 @@ class RunConfig:
     out: str | None = None
 
 
+def _decode(data: bytes | str, source: str) -> str:
+    """The text of one input; a byte that is not UTF-8 is a syntax error
+    at its line and column."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line, col = head.count("\n") + 1, len(head.rpartition("\n")[2]) + 1
+        msg = f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
+        raise ParseError("syntax", msg, source, line, col) from None
+
+
 def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     """Process every input; 0 = clean, 1 = failed check, 2 = bad input."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -536,19 +525,19 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     if config.paths:
         for path in config.paths:
             try:
-                with open(path, encoding="utf-8") as fh:
+                with open(path, "rb") as fh:
                     sources.append((path, fh.read()))
             except OSError as exc:
                 print(f"{path}: {exc.strerror or exc}", file=stderr)
                 return 2
     else:
-        sources.append(("<stdin>", (stdin if stdin is not None else sys.stdin).read()))
+        sources.append(("<stdin>", (stdin if stdin is not None else sys.stdin.buffer).read()))
 
     outputs = []
     worst = 0
-    for source, text in sources:
+    for source, data in sources:
         try:
-            desc = parse_descriptor_text(text, source=source)
+            desc = parse_descriptor_text(_decode(data, source), source=source)
             report = build_report(desc, mode=config.mode, run_checks=config.check == "all")
         except ParseError as exc:
             print(str(exc), file=stderr)
@@ -581,8 +570,12 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
         payload = "\n".join(chunks)
 
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"{config.out}: {exc.strerror or exc}", file=stderr)
+            return 2
     else:
         stdout.write(payload)
     return worst

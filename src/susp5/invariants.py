@@ -15,6 +15,7 @@ by summand; the two must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from susp5.abgroup import FgAbGroup, direct_sum, direct_sum_counted
 from susp5.decompose import ManifoldDescriptor
@@ -64,10 +65,16 @@ class Contribution:
 
 @dataclass(frozen=True)
 class GroupComputation:
-    """A group assembled summand by summand, with its per-summand trace."""
+    """A group assembled summand by summand, with its trace: one
+    (contribution, multiplicity) per run of equal wedge summands."""
 
     group: FgAbGroup
-    contributions: tuple[Contribution, ...]
+    runs: tuple[tuple[Contribution, int], ...]
+
+    @property
+    def contributions(self) -> tuple[Contribution, ...]:
+        """One contribution per summand: the runs expanded."""
+        return tuple(chain.from_iterable(repeat(c, n) for c, n in self.runs))
 
 
 # -- per-summand tables ------------------------------------------------------
@@ -181,15 +188,9 @@ def ko_closed_form(desc: ManifoldDescriptor) -> FgAbGroup:
 
 def _assemble(w: Wedge, entry) -> GroupComputation:
     """Direct sum of a per-summand entry, looked up once per run of equal
-    summands; entry maps a summand to (group, implied).  The trace keeps
-    one contribution per summand."""
-    contribs: list[Contribution] = []
-    parts = []
-    for s, n in w.runs():
-        g, implied = entry(s)
-        contribs += [Contribution(s, g, implied)] * n
-        parts.append((g, n))
-    return GroupComputation(direct_sum_counted(parts), tuple(contribs))
+    summands; entry maps a summand to (group, implied)."""
+    runs = tuple((Contribution(s, *entry(s)), n) for s, n in w.runs())
+    return GroupComputation(direct_sum_counted([(c.group, n) for c, n in runs]), runs)
 
 
 def k_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:

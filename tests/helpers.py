@@ -93,6 +93,37 @@ def f2_rank(rows) -> int:
     return rank
 
 
+def flag_dimensions(h) -> dict[int, int]:
+    """dim V_r for r = 1 .. e + 1, e the largest Moore exponent of h.
+
+    V_r is the F2 span of the sphere rows and the Moore rows of exponent at
+    least r; V_(e+1) is the span of the sphere rows alone (V_infinity).
+    Row moves keep every V_r and column moves keep its dimension, so the
+    flag is an orbit invariant found by rank alone, with no search.  The
+    rows go into one basis, sphere rows first and then the Moore rows by
+    decreasing exponent, and the rank is read after each exponent.
+    """
+    basis: dict[int, int] = {}  # leading bit -> basis row, as an integer
+
+    def add(row) -> None:
+        m = int("".join(map(str, row)) or "0", 2)
+        while m and m.bit_length() in basis:
+            m ^= basis[m.bit_length()]
+        if m:
+            basis[m.bit_length()] = m
+
+    for row in h.sphere_rows:
+        add(row)
+    top = max(h.moore_exponents, default=0)
+    dims = {top + 1: len(basis)}
+    for r in range(top, 0, -1):
+        for row, e in zip(h.moore_rows, h.moore_exponents):
+            if e == r:
+                add(row)
+        dims[r] = len(basis)
+    return dims
+
+
 # -- cellular chain homology oracle ------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Front-end parsing, report building, and exit codes."""
 
+import errno
 import io
 import json
 import os
@@ -208,6 +209,43 @@ def test_syntax_error_kind_line_and_source():
     assert str(err).startswith("f.txt:3:")
 
 
+# every character str.splitlines() breaks at besides "\n"
+_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in _LINE_BREAKS])
+def test_only_newline_ends_a_line(brk):
+    # the text after brk is still comment, so the error is the one on line 2
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(f"l = 1 # page{brk}break\nd = x\nspin = true\n")
+    assert str(ei.value) == "<input>:2:5: syntax error: d must be an integer"
+
+
+def test_crlf_file_reads_like_lf(tmp_path):
+    reports = []
+    for name, newline in (("lf.txt", "\n"), ("crlf.txt", "\r\n")):
+        p = tmp_path / name
+        p.write_bytes(FULL.replace("\n", newline).encode())
+        out = io.StringIO()
+        assert run(RunConfig(paths=(str(p),), fmt="structured"), stdout=out) == 0
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+
+
+def test_undecodable_input_is_located(tmp_path):
+    data = b"l = 1\nd = 1 # caf\xc3\xa9 \xff\nspin = true\n"
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_bytes(data)
+    good.write_text(MINIMAL)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(RunConfig(paths=(str(bad), str(good))), stdout=out, stderr=err) == 2
+    assert err.getvalue() == f"{bad}:2:14: syntax error: byte 0xff is not valid UTF-8\n"
+    assert f"== {good} ==" in out.getvalue()
+    err = io.StringIO()
+    assert run(RunConfig(), stdin=io.BytesIO(data), stdout=io.StringIO(), stderr=err) == 2
+    assert err.getvalue() == "<stdin>:2:14: syntax error: byte 0xff is not valid UTF-8\n"
+
+
 def test_unknown_key_is_syntax_error():
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text("l = 1\nbogus = 3\nd = 1\nspin = true\n")
@@ -322,8 +360,17 @@ def test_descriptor_inconsistency_reported():
             "f.txt:7:1: consistency error: "
             "case 'eta' is not allowed for this spin/smooth combination",
         ),
+        (
+            "l = 1\nd = 1\nspin = false\ncase = eta(0)\n",
+            "f.txt:4:8: consistency error: case 'eta' takes no summand index",
+        ),
+        (
+            "l = 1\nd = 1\nT = Z/4\nspin = false\ncase = tilde_eta\n",
+            "f.txt:5:8: consistency error: "
+            "case 'tilde_eta' needs an unconsumed two-primary summand",
+        ),
     ],
-    ids=["consumed", "case", "c1", "derived-case"],
+    ids=["consumed", "case", "c1", "derived-case", "case-takes-no-index", "case-needs-index"],
 )
 def test_descriptor_error_is_located_at_its_key(text, message):
     with pytest.raises(ParseError) as ei:
@@ -604,6 +651,10 @@ _FAULTS = {
 }
 
 
+# The trace a table out of balance leaves out of the report.
+_TRACE_OF = {"complex_k_balance": "k", "real_k_balance": "ko"}
+
+
 @pytest.mark.parametrize("check", sorted(_FAULTS))
 def test_every_check_can_fail_end_to_end(tmp_path, monkeypatch, capsys, check):
     monkeypatch.setattr(*_FAULTS[check])
@@ -611,6 +662,10 @@ def test_every_check_can_fail_end_to_end(tmp_path, monkeypatch, capsys, check):
     p.write_text(MINIMAL)
     assert main([str(p)]) == 1
     assert f"  {check}: fail\n" in capsys.readouterr().out
+    assert main([str(p), "--format", "structured"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == {name: "fail" if name == check else "ok" for name in _FAULTS}
+    assert set(report["traces"]) == {"k", "ko", "pi4_sigma"} - {_TRACE_OF.get(check)}
 
 
 def test_check_none_skips_checks(tmp_path, monkeypatch, capsys):
@@ -671,6 +726,16 @@ def test_out_file(tmp_path):
     dst = tmp_path / "report.json"
     assert main([str(src), "--format", "structured", "--out", str(dst)]) == 0
     assert json.loads(dst.read_text())["mode"] == "single"
+
+
+def test_unwritable_out_path_exit(tmp_path):
+    src = tmp_path / "m.txt"
+    src.write_text(MINIMAL)
+    dst = tmp_path / "no-such-dir" / "report.json"
+    err = io.StringIO()
+    code = run(RunConfig(paths=(str(src),), out=str(dst)), stdout=io.StringIO(), stderr=err)
+    assert code == 2
+    assert err.getvalue() == f"{dst}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_batch_structured_is_one_line_per_input(tmp_path):

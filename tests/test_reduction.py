@@ -1,12 +1,15 @@
 """Incidence-matrix and residual-attaching-vector normal forms."""
 
 import random
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import f2_rank
+from helpers import f2_rank, flag_dimensions
 from susp5.reduction import (
     AttachCase,
     AttachingDataError,
@@ -167,6 +170,52 @@ def test_consumed_exponent_multiset_is_orbit_invariant():
         res = reduce_h_matrix(member)
         exps = sorted(member.moore_exponents[j] for j in res.consumed)
         assert exps == base_exps
+
+
+def assert_matches_flag(h):
+    """c1 = dim V_infinity, and exponent r is consumed dim V_r - dim V_(r+1)
+    times (see helpers.flag_dimensions)."""
+    res = reduce_h_matrix(h)
+    dims = flag_dimensions(h)
+    top = len(dims)  # V_top is V_infinity
+    used = Counter(h.moore_exponents[j] for j in res.consumed)
+    assert res.c1 == dims[top]
+    assert [used[r] for r in range(1, top)] == [dims[r] - dims[r + 1] for r in range(1, top)]
+
+
+def test_reduction_matches_the_rank_flag_on_random_matrices():
+    rng = random.Random(0)
+    for i in range(400):
+        cols = rng.randint(1, 64)
+        d, t = rng.randint(0, 60), rng.randint(0, 16)
+        sparsity = rng.choice((1, 3, 5))  # a bit is set with chance 2^-sparsity
+        rows = []
+        for _ in range(d + t):
+            m = -1
+            for _ in range(sparsity):
+                m &= rng.getrandbits(cols)
+            rows.append([(m >> c) & 1 for c in range(cols)])
+        h = H(rows[:d], rows[d:], [rng.randint(1, 4) for _ in range(t)])
+        assert_matches_flag(h)
+        if i % 10 == 0:  # the oracle against its definition
+            moore = list(zip(h.moore_rows, h.moore_exponents))
+            assert flag_dimensions(h) == {
+                r: f2_rank([*h.sphere_rows, *(row for row, e in moore if e >= r)])
+                for r in range(1, max(h.moore_exponents, default=0) + 2)
+            }
+
+
+def test_reduction_matches_the_rank_flag_on_the_large_golden_file():
+    text = (Path(__file__).parent / "golden" / "large_chain.txt").read_text(encoding="utf-8")
+    sphere, moore, exps = [], [], []
+    for line in text.split("\n"):
+        if m := re.fullmatch(r"sphere = (.*)", line):
+            sphere.append([int(tok != "0") for tok in m.group(1).split()])
+        elif m := re.fullmatch(r"moore r=([0-9]+) = (.*)", line):
+            exps.append(int(m.group(1)))
+            moore.append([int(tok != "0") for tok in m.group(2).split()])
+    assert (len(sphere), len(moore), len(sphere[0])) == (60, 8, 64)
+    assert_matches_flag(H(sphere, moore, exps))
 
 
 def test_moore_move_legality():

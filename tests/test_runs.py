@@ -106,6 +106,7 @@ def _tabulated(table):
 def test_s4_trace_agrees_with_the_per_summand_lookup(seed):
     w = wedge(*_random_parts(random.Random(seed), _tabulated(maps_to_s4)))
     comp = pi4_sigma_crosscheck(w)
+    assert len(comp.runs) == len(w.runs())
     want = [Contribution(s, *maps_to_s4(s)) for s in w.summands]
     assert list(comp.contributions) == want
     assert comp.group == direct_sum(*(c.group for c in want))
@@ -118,12 +119,14 @@ def test_k_and_ko_traces_agree_with_the_per_summand_lookup(seed):
     assert max(n for _, n in double.runs()) > 1
     for compute, table in ((k_group, k_of_summand), (ko_group, ko_of_summand)):
         comp = compute(desc, double)
+        assert len(comp.runs) == len(double.runs())
         want = [Contribution(s, table(s)) for s in double.summands]
         assert list(comp.contributions) == want
         assert comp.group == direct_sum(*(c.group for c in want))
     if not desc.h1_torsion.has_3_torsion:  # else the single suspension does not split
         single = suspension_decomposition(desc)
         cross = pi4_sigma_crosscheck(single)
+        assert len(cross.runs) == len(single.runs())
         want = [Contribution(s, *maps_to_s4(s)) for s in single.summands]
         assert list(cross.contributions) == want
 
