@@ -28,7 +28,7 @@ from susp5.reduction import (
     reduce_h_matrix,
     reduce_phi,
 )
-from susp5.spaces import ElementaryComplex, Wedge, moore, peterson, sphere
+from susp5.spaces import ElementaryComplex, Wedge, moore, peterson, sphere, wedge
 
 __all__ = [
     "AttachCase",
@@ -57,5 +57,6 @@ __all__ = [
     "smith_normal_form",
     "sphere",
     "suspension_decomposition",
+    "wedge",
     "__version__",
 ]

@@ -521,38 +521,46 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     """Process every input; 0 = clean, 1 = failed check, 2 = bad input."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    sources = []
-    if config.paths:
-        for path in config.paths:
-            try:
-                with open(path, "rb") as fh:
-                    sources.append((path, fh.read()))
-            except OSError as exc:
-                print(f"{path}: {exc.strerror or exc}", file=stderr)
-                return 2
-    else:
-        sources.append(("<stdin>", (stdin if stdin is not None else sys.stdin.buffer).read()))
-
     outputs = []
     worst = 0
-    for source, data in sources:
+    for source in config.paths or ("<stdin>",):
         try:
-            desc = parse_descriptor_text(_decode(data, source), source=source)
+            if config.paths:
+                with open(source, "rb") as fh:
+                    data = fh.read()
+            else:
+                data = (stdin if stdin is not None else sys.stdin.buffer).read()
+        except OSError as exc:
+            print(f"{source}: {exc.strerror or exc}", file=stderr)
+            worst = 2
+            continue
+        try:
+            text = _decode(data, source)
+            desc = parse_descriptor_text(text, source=source)
             report = build_report(desc, mode=config.mode, run_checks=config.check == "all")
         except ParseError as exc:
             print(str(exc), file=stderr)
-            worst = max(worst, 2)
+            worst = 2
             continue
-        except (DescriptorError, DecompositionError, AttachingDataError) as exc:
+        except DecompositionError as exc:
+            # single mode's one obstruction is three-primary torsion in H,
+            # which only an H line gives: the text is scanned again for it
+            _, line, col = _Parser(text, source).scalars["H"]
+            print(ParseError("consistency", str(exc), source, line, col), file=stderr)
+            worst = 2
+            continue
+        except (DescriptorError, AttachingDataError) as exc:
             print(f"{source}: {exc}", file=stderr)
-            worst = max(worst, 2)
+            worst = 2
             continue
         if any(str(v).startswith("fail") for v in report["checks"].values()):
             worst = max(worst, 1)
         outputs.append((source, report))
 
+    # one report in full, or one line (or header) per file given
+    batch = len(config.paths) > 1
     if config.fmt == "structured":
-        if len(sources) == 1:
+        if not batch:
             payload = "".join(
                 json.dumps(r, sort_keys=True, indent=2) + "\n" for _, r in outputs
             )
@@ -565,7 +573,7 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
     else:
         chunks = []
         for s, r in outputs:
-            header = f"== {s} ==\n" if len(sources) > 1 else ""
+            header = f"== {s} ==\n" if batch else ""
             chunks.append(header + render_human(r))
         payload = "\n".join(chunks)
 

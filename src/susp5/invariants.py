@@ -15,7 +15,6 @@ by summand; the two must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 from susp5.abgroup import FgAbGroup, direct_sum, direct_sum_counted
 from susp5.decompose import ManifoldDescriptor
@@ -70,11 +69,6 @@ class GroupComputation:
 
     group: FgAbGroup
     runs: tuple[tuple[Contribution, int], ...]
-
-    @property
-    def contributions(self) -> tuple[Contribution, ...]:
-        """One contribution per summand: the runs expanded."""
-        return tuple(chain.from_iterable(repeat(c, n) for c, n in self.runs))
 
 
 # -- per-summand tables ------------------------------------------------------
@@ -189,7 +183,7 @@ def ko_closed_form(desc: ManifoldDescriptor) -> FgAbGroup:
 def _assemble(w: Wedge, entry) -> GroupComputation:
     """Direct sum of a per-summand entry, looked up once per run of equal
     summands; entry maps a summand to (group, implied)."""
-    runs = tuple((Contribution(s, *entry(s)), n) for s, n in w.runs())
+    runs = tuple((Contribution(s, *entry(s)), n) for s, n in w.runs)
     return GroupComputation(direct_sum_counted([(c.group, n) for c, n in runs]), runs)
 
 

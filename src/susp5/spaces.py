@@ -214,40 +214,30 @@ def moore_eta_sq(n: int, r: int) -> ElementaryComplex:
 
 @dataclass(frozen=True)
 class Wedge:
-    """A finite wedge of elementary complexes in canonical order.
+    """A finite wedge of elementary complexes, held as its runs of equal
+    summands.
 
-    The canonical order sorts by (top dimension, variant, parameters); the
-    one-point wedge of nothing is allowed and renders as 'pt'.  sort_key
-    determines a summand, so in canonical order equal summands are adjacent
-    and the wedge is read one run of equal summands at a time.
+    runs gives (summand, multiplicity) in canonical order: the sort keys
+    (top dimension, variant, parameters) strictly increase and every
+    multiplicity is at least one.  A sort key determines its summand, so
+    each wedge has one such form, and equality and hashing compare it.
+    wedge() builds the form from summands in any order; the wedge of no
+    runs is the point and renders as 'pt'.
     """
 
-    summands: tuple[ElementaryComplex, ...] = ()
-    _runs: tuple[tuple[ElementaryComplex, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    runs: tuple[tuple[ElementaryComplex, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_runs", _canonical_runs(_id_runs(self.summands)))
-
-    @classmethod
-    def _of_runs(cls, runs: tuple[tuple[ElementaryComplex, int], ...]) -> "Wedge":
-        """The wedge of runs already in canonical form, taken as they are:
-        wedge() and suspend() know their runs, so nothing is regrouped."""
-        w = object.__new__(cls)
-        summands = tuple(chain.from_iterable(repeat(cx, n) for cx, n in runs))
-        object.__setattr__(w, "summands", summands)
-        object.__setattr__(w, "_runs", runs)
-        return w
-
-    def runs(self) -> tuple[tuple[ElementaryComplex, int], ...]:
-        """(summand, multiplicity) for each run of equal summands, in order."""
-        return self._runs
+        keys = [cx._key for cx, _ in self.runs]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("wedge runs not in canonical order; use wedge()")
+        if any(n < 1 for _, n in self.runs):
+            raise ValueError("wedge run multiplicities must be at least 1")
 
     def homology(self) -> dict[int, FgAbGroup]:
         """Reduced homology of the wedge (degreewise direct sum)."""
         acc: dict[int, list[tuple[FgAbGroup, int]]] = {}
-        for cx, n in self._runs:
+        for cx, n in self.runs:
             for deg, grp in cx._homology:
                 acc.setdefault(deg, []).append((grp, n))
         return {deg: direct_sum_counted(parts) for deg, parts in sorted(acc.items())}
@@ -257,52 +247,31 @@ class Wedge:
 
     def suspend(self) -> "Wedge":
         """Suspend one summand per run; suspension keeps the canonical order."""
-        return Wedge._of_runs(tuple((cx.suspend(), n) for cx, n in self._runs))
+        return Wedge(tuple((cx.suspend(), n) for cx, n in self.runs))
 
     def weight(self) -> int:
-        return sum(cx.weight() * n for cx, n in self._runs)
+        return sum(cx.weight() * n for cx, n in self.runs)
 
     def top_dim(self) -> int:
-        return self.summands[-1].dim if self.summands else 0
+        return self.runs[-1][0].dim if self.runs else 0
 
     def render(self) -> str:
-        if not self.summands:
+        if not self.runs:
             return "pt"
-        return " v ".join(chain.from_iterable(repeat(cx._text, n) for cx, n in self._runs))
+        return " v ".join(chain.from_iterable(repeat(cx._text, n) for cx, n in self.runs))
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _id_runs(summands) -> list[tuple[ElementaryComplex, int]]:
-    """(summand, count) for each run of one repeated object, found without
-    calling __eq__."""
-    return [(same[0], len(same)) for same in (list(g) for _, g in groupby(summands, key=id))]
-
-
-def _canonical_runs(runs) -> tuple[tuple[ElementaryComplex, int], ...]:
-    """Merge runs whose summands are equal (held by different objects, so of
-    the same key) into the run before; the keys must not decrease."""
-    out: list[tuple[ElementaryComplex, int]] = []
-    last = None
-    for cx, n in runs:
-        key = cx._key
-        if last is None or key > last:
-            out.append((cx, n))
-        elif key == last:
-            out[-1] = (out[-1][0], out[-1][1] + n)
-        else:
-            raise ValueError("wedge summands not in canonical order; use wedge()")
-        last = key
-    return tuple(out)
-
-
 def wedge(*summands: ElementaryComplex) -> Wedge:
-    """Normalize a collection of summands into the canonical wedge.
+    """The canonical wedge of summands given in any order.
 
-    A run of one repeated object is sorted as a whole, so a list like
-    [sphere(2)] * l costs one sort key, and the runs go to the Wedge as
-    they are."""
-    runs = _id_runs(summands)
-    runs.sort(key=lambda run: run[0]._key)
-    return Wedge._of_runs(_canonical_runs(runs))
+    A run of one repeated object is counted as a whole, so a list like
+    [sphere(2)] * l costs one sort key; equal summands held by different
+    objects have the same key and share a run."""
+    counts: dict[tuple, list] = {}
+    for _, same in groupby(summands, key=id):
+        same = list(same)
+        counts.setdefault(same[0]._key, [same[0], 0])[1] += len(same)
+    return Wedge(tuple((cx, n) for _, (cx, n) in sorted(counts.items())))

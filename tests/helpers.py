@@ -302,6 +302,11 @@ def wedge_homology(w, degree: int) -> FgAbGroup:
     return w.homology_in(degree)
 
 
+def expand(runs) -> list:
+    """One entry per summand: (x, n) runs repeated by their multiplicity."""
+    return [x for x, n in runs for _ in range(n)]
+
+
 # -- sample inputs -------------------------------------------------------------
 
 # Three-primary H: the single suspension does not split, so a double-mode

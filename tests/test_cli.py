@@ -622,12 +622,38 @@ def test_missing_file_exit(tmp_path):
     )
     assert code == 2
 
+    # a missing file in a batch is reported, and the rest still run
+    nope, good = tmp_path / "nope.txt", tmp_path / "good.txt"
+    good.write_text(MINIMAL)
+    missing = f"{nope}: {os.strerror(errno.ENOENT)}\n"
+    for fmt in ("human", "structured"):
+        out, err = io.StringIO(), io.StringIO()
+        config = RunConfig(paths=(str(nope), str(good)), fmt=fmt)
+        assert run(config, stdout=out, stderr=err) == 2
+        assert err.getvalue() == missing
+        if fmt == "human":
+            assert out.getvalue().startswith(f"== {good} ==\n")
+        else:
+            [line] = out.getvalue().splitlines()
+            assert json.loads(line)["source"] == str(good)
 
-def test_three_torsion_single_vs_double_mode():
+
+def test_three_torsion_single_vs_double_mode(tmp_path):
     text = "l = 1\nd = 1\nH = Z/3\nspin = true\n"
     err = io.StringIO()
     assert run(RunConfig(), stdin=io.StringIO(text), stdout=io.StringIO(), stderr=err) == 2
     assert "three-primary" in err.getvalue()
+    # located at the H value, as a file or in a batch
+    p = tmp_path / "h3.txt"
+    p.write_text(text)
+    located = (
+        f"{p}:3:5: consistency error: three-primary classes in h1 obstruct "
+        "the single-suspension splitting\n"
+    )
+    for paths in ((str(p),), (str(p), str(p))):
+        err = io.StringIO()
+        assert run(RunConfig(paths=paths), stdout=io.StringIO(), stderr=err) == 2
+        assert err.getvalue() == located * len(paths)
 
     buf = io.StringIO()
     assert (

@@ -1,7 +1,10 @@
-"""The examples in the susp5 docstrings run and hold."""
+"""The examples in the susp5 docstrings and in README run and hold."""
+import contextlib
 import doctest
 import importlib
+import io
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,19 @@ def test_doctests_are_found():
     # a module whose examples stop being collected would otherwise pass silently
     assert doctest.testmod(importlib.import_module("susp5.abgroup")).attempted >= 8
     assert doctest.testmod(importlib.import_module("susp5.decompose")).attempted >= 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_prints_its_results():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n") + len("```python\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(text[start : text.index("```", start)], {})
+    assert out.getvalue().splitlines() == [
+        "S^2 v S^3 v S^4 v S^5 v A^6(eta~_2)",
+        "Z + Z/2 + Z/2",
+        "Z^2",
+    ]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_descriptor
+from helpers import expand, random_descriptor
 from susp5.abgroup import FgAbGroup
 from susp5.decompose import (
     DescriptorError,
@@ -165,7 +165,7 @@ def test_k_group_rejects_the_single_suspension():
 
 def test_k_group_trace_lists_every_summand():
     comp = K(desc(H="Z/5"))
-    rendered = [c.summand.render() for c in comp.contributions]
+    rendered = [c.summand.render() for c in expand(comp.runs)]
     assert "P^4(Z/5)" in rendered and "P^6(Z/5)" in rendered
     assert len(rendered) == len(set(rendered)) or len(rendered) >= 5
 
@@ -228,7 +228,7 @@ def test_k_and_ko_balance_on_random_descriptors(seed):
 
 def test_crosscheck_marks_implied_entries():
     comp = pi4_sigma_crosscheck(suspension_decomposition(desc(H="Z/5")))
-    implied = [c.summand.render() for c in comp.contributions if c.implied]
+    implied = [c.summand.render() for c in expand(comp.runs) if c.implied]
     assert implied == ["P^3(Z/5)", "P^5(Z/5)"]
 
 

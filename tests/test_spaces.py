@@ -204,9 +204,11 @@ class TestMemo:
         direct = ElementaryComplex(spaces.SPHERE, 2)
         parts = [sphere(3), direct, sphere(2), direct, sphere(2)]
         w = wedge(*parts)
-        assert w.runs() == ((sphere(2), 4), (sphere(3), 1))
-        assert w == Wedge((direct, direct, sphere(2), sphere(2), sphere(3)))
-        assert Wedge(w.summands).runs() == w.runs()
+        assert w.runs == ((sphere(2), 4), (sphere(3), 1))
+        assert w == wedge(direct, direct, sphere(2), sphere(2), sphere(3))
+        assert Wedge(((direct, 4), (sphere(3), 1))) == w
+        with pytest.raises(ValueError, match="canonical order"):
+            Wedge(((direct, 2), (sphere(2), 2), (sphere(3), 1)))
 
     def test_reduced_homology_is_a_fresh_dict(self):
         h = sphere(5).reduced_homology()
@@ -217,12 +219,14 @@ class TestMemo:
 class TestWedge:
     def test_normalization_sorts_and_is_idempotent(self):
         w = wedge(sphere(6), moore(4, 3)[0], sphere(2), chang_eta(5))
-        assert [cx.render() for cx in w.summands] == ["S^2", "P^4(Z/3)", "C^5_eta", "S^6"]
-        assert wedge(*w.summands) == w
+        assert [cx.render() for cx in helpers.expand(w.runs)] == [
+            "S^2", "P^4(Z/3)", "C^5_eta", "S^6"
+        ]
+        assert wedge(*helpers.expand(w.runs)) == w
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
-            Wedge((sphere(6), sphere(2)))
+            Wedge(((sphere(6), 1), (sphere(2), 1)))
 
     def test_render(self):
         w = wedge(sphere(2), chang_r(5, 3), moore_eta_sq(6, 2))
@@ -248,12 +252,22 @@ class TestWedge:
         assert w.homology_in(99).is_trivial
 
     @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(all_variants()), max_size=8), st.data())
+    def test_any_order_gives_one_wedge(self, parts, data):
+        w = wedge(*parts)
+        shuffled = data.draw(st.permutations(parts))
+        # equal summands rebuilt as new objects join the same runs
+        fresh = [ElementaryComplex(cx.kind, cx.dim, cx.order, cx.r) for cx in shuffled]
+        for v in (wedge(*shuffled), wedge(*fresh)):
+            assert v == w and hash(v) == hash(w)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(all_variants()), max_size=6))
     def test_suspend_commutes_with_wedge(self, parts):
         w = wedge(*parts)
         assert w.suspend() == wedge(*(cx.suspend() for cx in parts))
         assert w.suspend().homology() == {d + 1: g for d, g in w.homology().items()}
-        # wedge() and suspend() hand their runs over; the checked
-        # constructor finds the same ones
+        # wedge() and suspend() build through the checked constructor, and
+        # normalising the expanded runs again finds the same ones
         for v in (w, w.suspend()):
-            assert Wedge(v.summands).runs() == v.runs()
+            assert wedge(*helpers.expand(v.runs)).runs == v.runs
