@@ -17,14 +17,18 @@ Two layers:
 
 enumerate_orbit and enumerate_phi_orbit run breadth-first searches over
 all legal single moves; they exist to cross-check the greedy normal forms
-on small instances.  The searches run over plain hashable states (rows
-packed into bitmasks, phi components as tuples) through _h_moves and
-_phi_moves, the one move table; legal_moves and phi_moves unpack it.
+on small instances.  The searches run over one int per state (the matrix
+rows side by side; the phi bits, then two bits per Moore slot) through
+_h_table and _phi_table, the one move table per shape, and build one
+validated object per orbit member; legal_moves and phi_moves unpack the
+same table in the same order.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import compress
 
 
 class AttachingDataError(ValueError):
@@ -68,45 +72,104 @@ class HMatrix:
         return 0
 
 
-def _pack_rows(h: HMatrix) -> tuple[int, ...]:
-    """Rows of h as bitmasks, sphere rows first; bit c is column c."""
-    return tuple(
-        sum(1 << c for c, v in enumerate(row) if v) for row in h.sphere_rows + h.moore_rows
-    )
+def _pack_rows(h: HMatrix, cols: int) -> list[int]:
+    """Rows of h (cols columns) as bitmasks, sphere rows first; bit c is
+    column c."""
+    powers = [1 << c for c in range(cols)]
+    return [sum(compress(powers, row)) for row in h.sphere_rows + h.moore_rows]
 
 
-def _unpack_rows(h: HMatrix, rows: tuple[int, ...]) -> HMatrix:
-    """The matrix of h's shape whose packed rows are rows."""
-    bits = [tuple((m >> c) & 1 for c in range(h.num_columns)) for m in rows]
-    d = len(h.sphere_rows)
-    return HMatrix(tuple(bits[:d]), tuple(bits[d:]), h.moore_exponents)
+def _shape(h: HMatrix) -> tuple[int, tuple[int, ...], int]:
+    """(sphere-row count, Moore exponents, column count) of h."""
+    return len(h.sphere_rows), h.moore_exponents, h.num_columns
 
 
-def _h_moves(rows: tuple[int, ...], d: int, exps: tuple[int, ...], cols: int) -> list:
-    """Packed form of legal_moves: rows[:d] are sphere rows, rows[d:] Moore
-    rows of exponents exps, each a bitmask over cols columns."""
-    out = []
-    n = len(rows)
+# A search state is one int: row i of the packed rows sits at bits
+# i*cols .. i*cols + cols - 1.
 
-    def added(target, source):
-        return rows[:target] + (rows[target] ^ rows[source],) + rows[target + 1 :]
+
+def _join_rows(rows, cols: int) -> int:
+    return sum(m << (i * cols) for i, m in enumerate(rows))
+
+
+def _h_state(h: HMatrix, cols: int) -> int:
+    return _join_rows(_pack_rows(h, cols), cols)
+
+
+class _Memo(dict):
+    """make(key) for each key, computed on first lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _h_unpacker(shape: tuple[int, tuple[int, ...], int]):
+    """state -> the HMatrix of shape packed in it.  Orbit members share
+    rows, so each distinct row value becomes a tuple once per unpacker."""
+    d, exps, cols = shape
+    full = (1 << cols) - 1
+    offsets = [i * cols for i in range(d + len(exps))]
+    bits = _Memo(lambda m: tuple((m >> c) & 1 for c in range(cols)))
+
+    def unpack(state: int) -> HMatrix:
+        rows = [bits[(state >> o) & full] for o in offsets]
+        return HMatrix(tuple(rows[:d]), tuple(rows[d:]), exps)
+
+    return unpack
+
+
+@lru_cache(maxsize=64)
+def _h_table(d: int, exps: tuple[int, ...], cols: int) -> tuple[int, tuple]:
+    """The move table of legal_moves for d sphere rows, Moore rows of
+    exponents exps and cols columns, as (lift, moves).
+
+    Each move is (q, mask): the state s goes to s ^ (((s << lift) >> q) &
+    mask).  Adding row k onto row i shifts row k's bits into row i's place;
+    adding column k onto column c shifts every row at once and masks column
+    c.  Every shift is a net shift by lift - q, so one lift of s per state
+    makes each move one shift, one mask and one XOR.
+    """
+    n = d + len(exps)
+    lift = max(n - 1, 1) * cols
+    row = (1 << cols) - 1
+    moves = []
+
+    def added(target, source):  # row target += row source
+        moves.append((lift - (target - source) * cols, row << (target * cols)))
 
     for i in range(d):
         for k in range(d):
             if i != k:
-                out.append(added(i, k))
+                added(i, k)
     for c in range(cols):
-        for c2 in range(cols):
-            if c != c2:
-                out.append(tuple(r ^ (((r >> c2) & 1) << c) for r in rows))
+        column = sum(1 << (i * cols + c) for i in range(n))
+        for k in range(cols):
+            if c != k:
+                moves.append((lift - (c - k), column))
     for j in range(d, n):
         for k in range(d):
-            out.append(added(j, k))
+            added(j, k)
     for j in range(d, n):
         for k in range(d, n):
             if j != k and exps[j - d] >= exps[k - d]:
-                out.append(added(k, j))
-    return out
+                added(k, j)
+    return lift, tuple(moves)
+
+
+def _h_successors(shape: tuple[int, tuple[int, ...], int]):
+    """state -> list of the states one legal move away, in table order."""
+    lift, moves = _h_table(*shape)
+
+    def successors(s: int) -> list[int]:
+        t = s << lift
+        return [s ^ ((t >> q) & mask) for q, mask in moves]
+
+    return successors
 
 
 def legal_moves(h: HMatrix) -> list[HMatrix]:
@@ -118,16 +181,17 @@ def legal_moves(h: HMatrix) -> list[HMatrix]:
     Moore row adds onto another only when its exponent is at least as large
     (B(chi) transports i eta with unit coefficient exactly then).
     """
-    moves = _h_moves(_pack_rows(h), len(h.sphere_rows), h.moore_exponents, h.num_columns)
-    return [_unpack_rows(h, rows) for rows in moves]
+    shape = _shape(h)
+    moves = _h_successors(shape)(_h_state(h, shape[2]))
+    return list(map(_h_unpacker(shape), moves))
 
 
-def _closure(start, moves, limit: int) -> set:
-    """Breadth-first closure of start under moves(state) -> list of states."""
+def _closure(start: int, successors, limit: int) -> set[int]:
+    """Breadth-first closure of start under successors(state) -> states."""
     seen = {start}
     queue = deque([start])
     while queue:
-        for nxt in moves(queue.popleft()):
+        for nxt in successors(queue.popleft()):
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise RuntimeError("orbit exceeds enumeration limit")
@@ -138,18 +202,32 @@ def _closure(start, moves, limit: int) -> set:
 
 def enumerate_orbit(h: HMatrix, limit: int = 200_000) -> set[HMatrix]:
     """Closure of h under legal moves (each move has finite order, so the
-    reachable set is the full orbit).  The search runs over packed rows."""
-    d, exps, cols = len(h.sphere_rows), h.moore_exponents, h.num_columns
-    orbit = _closure(_pack_rows(h), lambda rows: _h_moves(rows, d, exps, cols), limit)
-    return {_unpack_rows(h, rows) for rows in orbit}
+    reachable set is the full orbit).  The search runs over one int per
+    state."""
+    shape = _shape(h)
+    orbit = _closure(_h_state(h, shape[2]), _h_successors(shape), limit)
+    return set(map(_h_unpacker(shape), orbit))
 
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """The greedy normal form's invariants and its end state.
+
+    state and shape (sphere-row count, Moore exponents, column count) hold
+    the end state packed as an orbit-search state; reduced unpacks it into
+    an HMatrix on first read, since the pipeline reads only c1, c2 and
+    consumed.
+    """
+
     c1: int
     c2: int
     consumed: tuple[int, ...]
-    reduced: HMatrix
+    state: int = field(repr=False)
+    shape: tuple[int, tuple[int, ...], int] = field(repr=False)
+
+    @cached_property
+    def reduced(self) -> HMatrix:
+        return _h_unpacker(self.shape)(self.state)
 
 
 def reduce_h_matrix(h: HMatrix) -> ReductionResult:
@@ -166,8 +244,10 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
     clearing a pivot row's other columns is one masked XOR on every row
     that holds the pivot bit.
     """
-    rows = list(_pack_rows(h))
-    d, n = len(h.sphere_rows), len(rows)
+    shape = _shape(h)
+    d, exps, cols = shape
+    rows = _pack_rows(h, cols)
+    n = len(rows)
 
     def clear_row(i: int, bit: int) -> None:
         # column c += pivot column, for every other column c of row i
@@ -177,14 +257,14 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
                 rows[k] ^= mask
 
     pivots: list[tuple[int, int]] = []
-    pivot_rows: set[int] = set()
-    for col in range(h.num_columns):
+    unpivoted = list(range(d))
+    for col in range(cols):
         bit = 1 << col
-        pr = next((i for i in range(d) if i not in pivot_rows and rows[i] & bit), None)
+        pr = next((i for i in unpivoted if rows[i] & bit), None)
         if pr is None:
             continue
         pivots.append((pr, bit))
-        pivot_rows.add(pr)
+        unpivoted.remove(pr)
         for i in range(d):
             if i != pr and rows[i] & bit:
                 rows[i] ^= rows[pr]
@@ -198,7 +278,7 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
 
     claimed = sum(bit for _, bit in pivots)
     consumed: list[int] = []
-    order = sorted(range(d, n), key=lambda j: (-h.moore_exponents[j - d], j))
+    order = sorted(range(d, n), key=lambda j: -exps[j - d])  # stable: ties by position
     for j in order:
         free = rows[j] & ~claimed
         if not free:
@@ -217,7 +297,8 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
         c1=len(pivots),
         c2=len(consumed),
         consumed=tuple(sorted(consumed)),
-        reduced=_unpack_rows(h, tuple(rows)),
+        state=_join_rows(rows, cols),
+        shape=shape,
     )
 
 
@@ -346,85 +427,115 @@ def _b_transport(ck: int, rk: int, rj: int) -> int:
     return dz + 2 * de
 
 
-def _phi_moves(state, R: tuple[int, ...], S: tuple[int, ...]) -> list:
-    """Packed form of phi_moves on state = (x, y, moore, w), with Moore
-    exponents R and consumed exponents S."""
-    out = []
-    X, Y, M, W = state
-
-    def toggled(vec, i):
-        return vec[:i] + (vec[i] ^ 1,) + vec[i + 1 :]
-
-    def x_(i):
-        out.append((toggled(X, i), Y, M, W))
-
-    def y_(i):
-        out.append((X, toggled(Y, i), M, W))
-
-    def m_(j, delta):
-        out.append((X, Y, M[:j] + (_slot_add(M[j], R[j], delta),) + M[j + 1 :], W))
-
-    def w_(j):
-        out.append((X, Y, M, toggled(W, j)))
-
-    for k in range(len(X)):
-        if not X[k]:
-            continue
-        for i in range(len(X)):
-            if i != k:
-                x_(i)  # identity shear among three-spheres
-        for j in range(len(M)):
-            m_(j, 2)  # bottom inclusion sends eta^2 up
-    for k in range(len(Y)):
-        if not Y[k]:
-            continue
-        for i in range(len(Y)):
-            if i != k:
-                y_(i)  # identity shear among four-spheres
-        for i in range(len(X)):
-            x_(i)  # eta carries eta to eta^2
-        for j in range(len(M)):
-            m_(j, 2)  # i eta carries eta to i eta^2
-    for k in range(len(M)):
-        if M[k] % 2:
-            for i in range(len(Y)):
-                y_(i)  # pinch carries the lift to eta
-            for i in range(len(X)):
-                x_(i)  # eta pinch carries the lift to eta^2
-            for j in range(len(W)):
-                if S[j] >= R[k]:
-                    w_(j)  # i_P B(chi) into a consumed piece
-        for j in range(len(M)):
-            if M[k] % 2:
-                m_(j, 2)  # i eta q, slot onto itself included
-            if j != k:
-                delta = _b_transport(M[k], R[k], R[j])
-                if delta:
-                    m_(j, delta)
-    for k in range(len(W)):
-        if not W[k]:
-            continue
-        for i in range(len(X)):
-            x_(i)  # eta q xi-bar route down to eta^2
-        for i in range(len(Y)):
-            y_(i)  # q xi-bar route down to eta
-        for j in range(len(M)):
-            m_(j, 2)  # i eta q xi-bar route
-            if R[j] > S[k]:
-                m_(j, 1)  # B(chi) xi-bar lands on the lift
-        for j in range(len(W)):
-            if j != k and S[j] >= S[k]:
-                w_(j)
-    return out
+# A search state is one int: the x, y and w bits in that order from bit 0,
+# then two bits per Moore slot.
 
 
-def _phi_state(phi: PhiVector):
-    return phi.x, phi.y, phi.moore, phi.w
+def _phi_state(phi: PhiVector) -> int:
+    bits = phi.x + phi.y + phi.w
+    state = sum(compress([1 << i for i in range(len(bits))], bits))
+    return state + sum(int(c) << (len(bits) + 2 * j) for j, c in enumerate(phi.moore))
 
 
-def _phi_from_state(phi: PhiVector, state) -> PhiVector:
-    x, y, moore, w = state
-    return PhiVector(x, y, moore, phi.moore_exponents, w, phi.consumed_exponents)
+def _phi_unpacker(phi: PhiVector):
+    """state -> the PhiVector of phi's shape packed in it, through one memo
+    of the (x, y, w) bits and one of the Moore slots."""
+    a, b, u = len(phi.x), len(phi.y), len(phi.moore)
+    base = a + b + len(phi.w)
+    low = (1 << base) - 1
+
+    def split(m):
+        bits = tuple((m >> i) & 1 for i in range(base))
+        return bits[:a], bits[a : a + b], bits[a + b :]
+
+    xyw = _Memo(split)
+    slots = _Memo(lambda m: tuple((m >> (2 * j)) & 3 for j in range(u)))
+    R, S = phi.moore_exponents, phi.consumed_exponents
+
+    def unpack(state: int) -> PhiVector:
+        x, y, w = xyw[state & low]
+        return PhiVector(x, y, slots[state >> base], R, w, S)
+
+    return unpack
+
+
+@lru_cache(maxsize=64)
+def _phi_table(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]) -> tuple:
+    """The move table of phi_moves for a three-spheres, b four-spheres,
+    Moore slots of exponents R and consumed pieces of exponents S.
+
+    One entry (position, width mask, moves by value) per source component,
+    x first, then y, the Moore slots and w: the moves a component makes
+    depend on its value alone.  Each move is (k, c) and takes the state s to
+    s ^ k ^ ((s << 1) & c).  c is 0, making the move a constant XOR, except
+    when an odd delta is added to an exponent-one slot, whose Z/4 law
+    carries the slot's low bit into its high bit.
+    """
+    X, Y, W = range(a), range(a, a + b), range(a + b, a + b + len(S))
+    M = [a + b + len(S) + 2 * j for j in range(len(R))]
+
+    def bits(positions):
+        return [(1 << p, 0) for p in positions]
+
+    def slot(j, delta):
+        carry = _slot_add(1, R[j], delta) != 1 ^ delta
+        return delta << M[j], (2 << M[j]) if carry else 0
+
+    def included():  # i eta^2, the slot value 2, onto every slot
+        return [slot(j, 2) for j in range(len(R))]
+
+    table = []
+    for i in X:
+        # identity shear among three-spheres; bottom inclusion sends eta^2 up
+        moves = bits(p for p in X if p != i) + included()
+        table.append((i, 1, ((), tuple(moves))))
+    for i in Y:
+        # identity shear among four-spheres; eta carries eta to eta^2; i eta
+        # carries eta to i eta^2
+        moves = bits(p for p in Y if p != i) + bits(X) + included()
+        table.append((i, 1, ((), tuple(moves))))
+    for k, r in enumerate(R):
+        by_value = [()]
+        for v in (1, 2, 3):
+            moves = []
+            if v % 2:
+                # pinch carries the lift to eta, eta pinch to eta^2, and
+                # i_P B(chi) into a consumed piece
+                moves += bits(Y) + bits(X) + bits(p for p, s in zip(W, S) if s >= r)
+            for j in range(len(R)):
+                if v % 2:
+                    moves.append(slot(j, 2))  # i eta q, slot onto itself included
+                if j != k:
+                    delta = _b_transport(v, r, R[j])
+                    if delta:
+                        moves.append(slot(j, delta))
+            by_value.append(tuple(moves))
+        table.append((M[k], 3, tuple(by_value)))
+    for i, s in zip(W, S):
+        # eta q xi-bar down to eta^2, q xi-bar down to eta, i eta q xi-bar,
+        # and B(chi) xi-bar onto the lift of a slot of larger exponent
+        moves = bits(X) + bits(Y)
+        for j, r in enumerate(R):
+            moves.append(slot(j, 2))
+            if r > s:
+                moves.append(slot(j, 1))
+        moves += bits(p for p, s2 in zip(W, S) if p != i and s2 >= s)
+        table.append((i, 1, ((), tuple(moves))))
+    return tuple(table)
+
+
+def _phi_successors(phi: PhiVector):
+    """state -> list of the states one elementary shear away, in table order."""
+    table = _phi_table(len(phi.x), len(phi.y), phi.moore_exponents, phi.consumed_exponents)
+
+    def successors(s: int) -> list[int]:
+        out = []
+        s2 = s << 1
+        for position, width, by_value in table:
+            out += [s ^ k ^ (s2 & c) for k, c in by_value[(s >> position) & width]]
+        return out
+
+    return successors
 
 
 def phi_moves(phi: PhiVector) -> list[PhiVector]:
@@ -436,14 +547,12 @@ def phi_moves(phi: PhiVector) -> list[PhiVector]:
     Moore slots, B(chi) between Moore slots, and the xi-bar and i_P
     composites in and out of the consumed two-stage pieces.
     """
-    moves = _phi_moves(_phi_state(phi), phi.moore_exponents, phi.consumed_exponents)
-    return [_phi_from_state(phi, state) for state in moves]
+    return list(map(_phi_unpacker(phi), _phi_successors(phi)(_phi_state(phi))))
 
 
 def enumerate_phi_orbit(phi: PhiVector, limit: int = 500_000) -> set[PhiVector]:
     """Closure of phi under elementary shears (again a full orbit: every
     move fixes its source component, so repeating it inverts it).  The
-    search runs over (x, y, moore, w) tuples."""
-    R, S = phi.moore_exponents, phi.consumed_exponents
-    orbit = _closure(_phi_state(phi), lambda state: _phi_moves(state, R, S), limit)
-    return {_phi_from_state(phi, state) for state in orbit}
+    search runs over one int per state."""
+    orbit = _closure(_phi_state(phi), _phi_successors(phi), limit)
+    return set(map(_phi_unpacker(phi), orbit))

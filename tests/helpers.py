@@ -14,6 +14,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from susp5.abgroup import FgAbGroup
+from susp5.reduction import AttachCase, HMatrix, PhiVector, _b_transport, _slot_add
 
 
 # -- exact linear algebra oracles -------------------------------------------
@@ -124,6 +125,123 @@ def flag_dimensions(h) -> dict[int, int]:
     return dims
 
 
+# -- reference move tables -----------------------------------------------------
+#
+# The moves of susp5.reduction written out on tuples, one component at a
+# time, with none of the library's packing of a state into one int.
+# legal_moves and phi_moves must list the same states in the same order.
+# The slot arithmetic (_slot_add, _b_transport) is shared: test_reduction
+# checks it against the map calculus on its own.
+
+
+def reference_legal_moves(h) -> list:
+    """legal_moves of h, each move rebuilding the row tuples."""
+    rows = tuple(tuple(map(int, row)) for row in h.sphere_rows + h.moore_rows)
+    d, n, exps = len(h.sphere_rows), len(rows), h.moore_exponents
+    out = []
+
+    def added(target, source):
+        row = tuple(a ^ b for a, b in zip(rows[target], rows[source]))
+        new = rows[:target] + (row,) + rows[target + 1 :]
+        out.append(HMatrix(new[:d], new[d:], exps))
+
+    for i in range(d):
+        for k in range(d):
+            if i != k:
+                added(i, k)
+    for c in range(h.num_columns):
+        for c2 in range(h.num_columns):
+            if c != c2:
+                new = tuple(r[:c] + (r[c] ^ r[c2],) + r[c + 1 :] for r in rows)
+                out.append(HMatrix(new[:d], new[d:], exps))
+    for j in range(d, n):
+        for k in range(d):
+            added(j, k)
+    for j in range(d, n):
+        for k in range(d, n):
+            if j != k and exps[j - d] >= exps[k - d]:
+                added(k, j)
+    return out
+
+
+def reference_phi_moves(phi) -> list:
+    """phi_moves of phi, each move rebuilding the component tuples."""
+    X, Y, M, W = (tuple(map(int, v)) for v in (phi.x, phi.y, phi.moore, phi.w))
+    R, S = phi.moore_exponents, phi.consumed_exponents
+    out = []
+
+    def toggled(vec, i):
+        return vec[:i] + (vec[i] ^ 1,) + vec[i + 1 :]
+
+    def emit(x=X, y=Y, moore=M, w=W):
+        out.append(PhiVector(x, y, moore, R, w, S))
+
+    def m_(j, delta):
+        emit(moore=M[:j] + (_slot_add(M[j], R[j], delta),) + M[j + 1 :])
+
+    for k in range(len(X)):
+        if not X[k]:
+            continue
+        for i in range(len(X)):
+            if i != k:
+                emit(x=toggled(X, i))  # identity shear among three-spheres
+        for j in range(len(M)):
+            m_(j, 2)  # bottom inclusion sends eta^2 up
+    for k in range(len(Y)):
+        if not Y[k]:
+            continue
+        for i in range(len(Y)):
+            if i != k:
+                emit(y=toggled(Y, i))  # identity shear among four-spheres
+        for i in range(len(X)):
+            emit(x=toggled(X, i))  # eta carries eta to eta^2
+        for j in range(len(M)):
+            m_(j, 2)  # i eta carries eta to i eta^2
+    for k in range(len(M)):
+        if M[k] % 2:
+            for i in range(len(Y)):
+                emit(y=toggled(Y, i))  # pinch carries the lift to eta
+            for i in range(len(X)):
+                emit(x=toggled(X, i))  # eta pinch carries the lift to eta^2
+            for j in range(len(W)):
+                if S[j] >= R[k]:
+                    emit(w=toggled(W, j))  # i_P B(chi) into a consumed piece
+        for j in range(len(M)):
+            if M[k] % 2:
+                m_(j, 2)  # i eta q, slot onto itself included
+            if j != k:
+                delta = _b_transport(M[k], R[k], R[j])
+                if delta:
+                    m_(j, delta)
+    for k in range(len(W)):
+        if not W[k]:
+            continue
+        for i in range(len(X)):
+            emit(x=toggled(X, i))  # eta q xi-bar route down to eta^2
+        for i in range(len(Y)):
+            emit(y=toggled(Y, i))  # q xi-bar route down to eta
+        for j in range(len(M)):
+            m_(j, 2)  # i eta q xi-bar route
+            if R[j] > S[k]:
+                m_(j, 1)  # B(chi) xi-bar lands on the lift
+        for j in range(len(W)):
+            if j != k and S[j] >= S[k]:
+                emit(w=toggled(W, j))
+    return out
+
+
+def reference_orbit(start, moves) -> set:
+    """Closure of start under a reference move table."""
+    seen = {start}
+    queue = [start]
+    while queue:
+        for nxt in moves(queue.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 # -- cellular chain homology oracle ------------------------------------------
 
 
@@ -222,7 +340,6 @@ import random
 from dataclasses import replace
 
 from susp5.decompose import ManifoldDescriptor
-from susp5.reduction import AttachCase
 
 
 def random_torsion(rng: random.Random, primes, max_summands: int, max_exp: int) -> FgAbGroup:

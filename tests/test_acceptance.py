@@ -12,7 +12,14 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from helpers import f2_rank, det_int, mat_mul, random_descriptor, shape_variants
+from helpers import (
+    det_int,
+    f2_rank,
+    flag_dimensions,
+    mat_mul,
+    random_descriptor,
+    shape_variants,
+)
 from susp5.abgroup import FgAbGroup, smith_normal_form
 from susp5.decompose import (
     DecompositionError,
@@ -276,6 +283,50 @@ def test_criterion_5_exhaustive_matrix_reduction():
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE 5 (exhaustive matrix reduction): PASS"
+        f" ({state_count} matrices in {orbit_count} orbits, {elapsed:.1f}s)"
+    )
+
+
+def test_criterion_5_at_four_columns():
+    # Every shape of criterion 5 at 4 columns.  Each orbit's start state is
+    # reduced and its rank flag read (helpers.flag_dimensions): the greedy
+    # (c1, c2) must be the flag's prediction, and distinct orbits of a shape
+    # must have distinct flags, so the flag is a complete invariant here.
+    start = time.monotonic()
+    cols = 4
+    all_rows = list(product((0, 1), repeat=cols))
+    orbit_count = 0
+    state_count = 0
+    for nsphere in range(4):
+        for nmoore in range(4 - nsphere):
+            if nsphere + nmoore == 0:
+                continue
+            for exps in product((1, 2, 3), repeat=nmoore):
+                seen: set = set()  # (sphere rows, Moore rows) of every member found
+                flags = set()
+                orbits = 0
+                for sphere in product(all_rows, repeat=nsphere):
+                    for moore in product(all_rows, repeat=nmoore):
+                        if (sphere, moore) in seen:
+                            continue
+                        h = HMatrix(sphere, moore, exps)
+                        orbit = enumerate_orbit(h)
+                        seen.update((m.sphere_rows, m.moore_rows) for m in orbit)
+                        state_count += len(orbit)
+                        orbits += 1
+                        dims = flag_dimensions(h)
+                        flags.add(tuple(sorted(dims.items())))
+                        top = len(dims)  # V_top is V_infinity
+                        res = reduce_h_matrix(h)
+                        assert (res.c1, res.c2) == (dims[top], dims[1] - dims[top]), h
+                assert len(seen) == len(all_rows) ** (nsphere + nmoore)
+                assert len(flags) == orbits, (nsphere, exps)
+                orbit_count += orbits
+    elapsed = time.monotonic() - start
+    assert (orbit_count, state_count) == (312, 167_232)
+    assert elapsed < 60.0
+    print(
+        f"ACCEPTANCE 5 at 4 columns (rank flag, complete): PASS"
         f" ({state_count} matrices in {orbit_count} orbits, {elapsed:.1f}s)"
     )
 

@@ -6,11 +6,12 @@ file that parses must render back to invariant-route text that parses
 equal (so a matrix-route file agrees with its invariant route), and must
 give a report in both modes (in single mode, three-primary torsion in H may
 instead be a DecompositionError); any other file must be a ParseError at a
-line of the file.
+line of the file.  Each input is handled in under a second of wall time.
 """
 from __future__ import annotations
 
 import re
+import time
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -56,9 +57,7 @@ def mutants(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.text(max_size=60) | mutants())
-def test_every_input_ends_in_a_report_or_a_located_parse_error(text):
+def _ends_in_a_report_or_a_located_parse_error(text: str) -> None:
     try:
         desc = parse_descriptor_text(text, source="fuzz.txt")
     except ParseError as exc:
@@ -70,3 +69,12 @@ def test_every_input_ends_in_a_report_or_a_located_parse_error(text):
         build_report(desc, mode="single")
     except DecompositionError:
         assert desc.h1_torsion.has_3_torsion
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.text(max_size=60) | mutants())
+def test_every_input_ends_in_a_report_or_a_located_parse_error(text):
+    start = time.monotonic()
+    _ends_in_a_report_or_a_located_parse_error(text)
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.0, f"{elapsed:.2f}s on {text!r}"

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import f2_rank, flag_dimensions
+from helpers import (
+    f2_rank,
+    flag_dimensions,
+    reference_legal_moves,
+    reference_orbit,
+    reference_phi_moves,
+)
 from susp5.reduction import (
     AttachCase,
     AttachingDataError,
@@ -494,3 +500,52 @@ def test_b_chi_transport_matches_map_calculus():
                 a, b = _slot_to_map(c, rk)
                 want = _map_to_slot(a * _chi(rj, rk), b * _chi(rk, rj), rj)
                 assert _b_transport(c, rk, rj) == want, (c, rk, rj)
+
+
+# -- packed move tables against the reference tables --------------------------
+
+
+def _random_h(rng, max_cols, max_sphere, max_moore, max_exp=4):
+    cols = rng.randint(1, max_cols)
+    d, t = rng.randint(0, max_sphere), rng.randint(0, max_moore)
+    rows = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(d + t)]
+    return H(rows[:d], rows[d:], [rng.randint(1, max_exp) for _ in range(t)])
+
+
+def _random_phi(rng, max_len, max_exp=4):
+    a, b, u, c = (rng.randint(0, max_len) for _ in range(4))
+    return phi(
+        x=[rng.randint(0, 1) for _ in range(a)],
+        y=[rng.randint(0, 1) for _ in range(b)],
+        moore=[rng.randint(0, 3) for _ in range(u)],
+        exps=[rng.randint(1, max_exp) for _ in range(u)],
+        w=[rng.randint(0, 1) for _ in range(c)],
+        cons=[rng.randint(1, max_exp) for _ in range(c)],
+    )
+
+
+def test_legal_moves_match_the_reference_table():
+    # up to 6 columns, 4 sphere rows, 4 Moore rows and exponent 4: past the
+    # exhaustive sweeps
+    rng = random.Random(14)
+    for _ in range(2_000):
+        h = _random_h(rng, 6, 4, 4)
+        assert legal_moves(h) == reference_legal_moves(h), h
+
+
+def test_phi_moves_match_the_reference_table():
+    # up to 4 entries per component and exponent 4
+    rng = random.Random(14)
+    for _ in range(2_000):
+        p = _random_phi(rng, 4)
+        assert phi_moves(p) == reference_phi_moves(p), p
+
+
+def test_orbits_match_a_search_over_the_reference_tables():
+    rng = random.Random(15)
+    for _ in range(60):
+        h = _random_h(rng, 3, 2, 2)
+        assert enumerate_orbit(h) == reference_orbit(h, reference_legal_moves), h
+    for _ in range(60):
+        p = _random_phi(rng, 2)
+        assert enumerate_phi_orbit(p) == reference_orbit(p, reference_phi_moves), p
