@@ -383,10 +383,6 @@ class FgAbGroup:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    @property
     def has_2_torsion(self) -> bool:
         return any(p == 2 for p, _ in self.torsion)
 
@@ -400,10 +396,6 @@ class FgAbGroup:
     def primary_exponents(self, p: int) -> tuple[int, ...]:
         """Exponents e of the Z/p^e summands, in canonical (ascending) order."""
         return tuple(e for q, e in self.torsion if q == p)
-
-    def primary_component(self, p: int) -> "FgAbGroup":
-        """The p-primary torsion subgroup (free part discarded)."""
-        return FgAbGroup(0, tuple(t for t in self.torsion if t[0] == p))
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         return direct_sum(self, *others)

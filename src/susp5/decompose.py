@@ -12,10 +12,11 @@ the set of consumed two-primary summands of T, and the surviving top-cell
 case.  The suspension splits as a wedge of spheres, Moore spaces and a
 short list of four-cell-or-less complexes; this module computes that wedge
 for the single and double suspension along with the intermediate homology
-sections.
+sections, each built from one count per summand (see _section_counts).
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -31,18 +32,19 @@ from susp5.reduction import (
 from susp5.spaces import (
     CHANG_ETA,
     CHANG_IP_ETA_LIFT,
+    CHANG_R,
+    MOORE,
     MOORE_ETA_LIFT,
     MOORE_ETA_SQ,
     SPHERE,
     SPHERE_ETA_SQ,
-    ElementaryComplex,
     Wedge,
     chang_eta,
     chang_r,
     peterson,
     sphere,
     summand,
-    wedge,
+    wedge_of,
 )
 
 
@@ -67,15 +69,15 @@ class _Case:
     ('unconsumed', 'consumed', or None: the case takes no index); spin is
     the spin flag the case needs and smooth whether smooth input admits it;
     top is the variant of the top piece of the suspension wedge; absorbs is
-    the W5 summand the top piece replaces ('S^3', 'S^4', the Moore summand
-    'moore', the C_r piece 'chang', or None); phrase describes the case.
+    the (variant, top dimension) of the W5 summand the top piece replaces,
+    its parameter the case's exponent r, or None; phrase describes the case.
     """
 
     index: str | None
     spin: bool
     smooth: bool
     top: str
-    absorbs: str | None
+    absorbs: tuple[str, int] | None
     phrase: str
 
 
@@ -83,15 +85,15 @@ class _Case:
 CASES = {
     "null": _Case(None, True, True, SPHERE, None,
         "trivial top attachment; the top cell splits off as a sphere"),
-    "eta": _Case(None, False, True, CHANG_ETA, "S^4",
+    "eta": _Case(None, False, True, CHANG_ETA, (SPHERE, 4),
         "top cell attached by a suspended Hopf map into a two-sphere summand"),
-    "eta_sq": _Case(None, True, False, SPHERE_ETA_SQ, "S^3",
+    "eta_sq": _Case(None, True, False, SPHERE_ETA_SQ, (SPHERE, 3),
         "top cell attached by a doubly suspended squared Hopf map into a three-sphere summand"),
-    "tilde_eta": _Case("unconsumed", False, True, MOORE_ETA_LIFT, "moore",
+    "tilde_eta": _Case("unconsumed", False, True, MOORE_ETA_LIFT, (MOORE, 4),
         "top cell attached by a lifted Hopf map into a two-primary Moore summand"),
-    "ip_tilde_eta": _Case("consumed", False, True, CHANG_IP_ETA_LIFT, "chang",
+    "ip_tilde_eta": _Case("consumed", False, True, CHANG_IP_ETA_LIFT, (CHANG_R, 5),
         "top cell attached by a lifted Hopf map carried into an absorbed two-stage piece"),
-    "i_eta_sq": _Case("unconsumed", True, False, MOORE_ETA_SQ, "moore",
+    "i_eta_sq": _Case("unconsumed", True, False, MOORE_ETA_SQ, (MOORE, 4),
         "top cell attached by a squared Hopf map carried into a two-primary Moore summand"),
 }
 
@@ -157,7 +159,7 @@ class ManifoldDescriptor:
                 )
         elif j not in self.consumed:
             raise DescriptorError(f"case {kind!r} needs a consumed summand", "case")
-        if case.absorbs == "S^3" and self.d - self.c1 < 1:
+        if case.absorbs == (SPHERE, 3) and self.d - self.c1 < 1:
             raise DescriptorError(f"case {kind!r} needs a free three-sphere", "case")
         if j is not None:
             r = self.two_primary_exponents[j]
@@ -199,28 +201,42 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
     }
 
 
-def _section_parts(desc, absorbs=None, j=None) -> list[ElementaryComplex]:
-    """The summands of W5, less the one a top piece absorbs (see _Case):
-    a three- or four-sphere, the Moore summand j, or the C_r piece on the
-    consumed summand j."""
-    exps = desc.two_primary_exponents
-    H = desc.h1_torsion
-    return (
-        [sphere(3)] * (desc.d - desc.c1 - (absorbs == "S^3"))
-        + [sphere(4)] * (desc.d - (absorbs == "S^4"))
-        + [sphere(5)] * (desc.l - desc.c1 - desc.c2)
-        + peterson(3, H)
-        + peterson(4, desc.remaining_torsion(j if absorbs == "moore" else None))
-        + peterson(5, H)
-        + [chang_eta(5)] * desc.c1
-        + [chang_r(5, exps[i]) for i in desc.consumed if (absorbs, i) != ("chang", j)]
+def _section_counts(desc: ManifoldDescriptor, k: int) -> Counter:
+    """The summands of W_k, k in 3..5, and their multiplicities.  W5 is the
+    suspension wedge less its l two-spheres and top piece.  Below k = 5,
+    C^5_eta keeps only its bottom S^3, C^5_r its bottom P^4(2^r), so P^4
+    covers all of T, and S^5 drops out; below k = 4, S^4 and P^5(H) drop
+    out as well."""
+    if k not in (3, 4, 5):
+        raise DecompositionError("homology sections are defined for k in 3..5")
+    H, exps = desc.h1_torsion, desc.two_primary_exponents
+    c1, consumed = (desc.c1, desc.consumed) if k == 5 else (0, ())
+    counts = Counter({
+        sphere(3): desc.d - c1,
+        sphere(4): desc.d if k >= 4 else 0,
+        sphere(5): desc.l - desc.c1 - desc.c2 if k == 5 else 0,
+        chang_eta(5): c1,
+    })
+    counts.update(
+        peterson(3, H)
+        + peterson(4, desc.remaining_torsion() if k == 5 else desc.h2_torsion)
+        + (peterson(5, H) if k >= 4 else [])
+        + [chang_r(5, exps[i]) for i in consumed]
     )
+    return counts
 
 
-def _single_parts(desc: ManifoldDescriptor) -> list[ElementaryComplex]:
+def _single_counts(desc: ManifoldDescriptor) -> Counter:
+    """The summands of the suspension wedge: l two-spheres, W5 and the top
+    piece, less the one W5 summand the top piece absorbs (see _Case)."""
     case = CASES[desc.case.kind]
-    top = summand(case.top, 6, 0, desc.case.r or 0)
-    return [sphere(2)] * desc.l + _section_parts(desc, case.absorbs, desc.case.index) + [top]
+    r = desc.case.r or 0
+    counts = _section_counts(desc, 5)
+    counts.update({sphere(2): desc.l, summand(case.top, 6, 0, r): 1})
+    if case.absorbs is not None:
+        kind, dim = case.absorbs
+        counts[summand(kind, dim, 2**r, 0) if kind == MOORE else summand(kind, dim, 0, r)] -= 1
+    return counts
 
 
 def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
@@ -234,12 +250,12 @@ def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
         raise DecompositionError(
             "three-primary classes in h1 obstruct the single-suspension splitting"
         )
-    return wedge(*_single_parts(desc))
+    return wedge_of(_single_counts(desc))
 
 
 def double_suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
     """The wedge decomposition of the double suspension of M."""
-    return wedge(*[p.suspend() for p in _single_parts(desc)])
+    return wedge_of(_single_counts(desc)).suspend()
 
 
 def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:
@@ -249,15 +265,7 @@ def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:
     five-connected-in-homology remainder; the sections truncate that
     remainder at homological degree k.
     """
-    if k == 5:
-        return wedge(*_section_parts(desc))
-    if k not in (3, 4):
-        raise DecompositionError("homology sections are defined for k in 3..5")
-    H = desc.h1_torsion
-    parts = [sphere(3)] * desc.d + peterson(3, H) + peterson(4, desc.h2_torsion)
-    if k == 4:
-        parts += [sphere(4)] * desc.d + peterson(5, H)
-    return wedge(*parts)
+    return wedge_of(_section_counts(desc, k))
 
 
 # -- resolution of raw attaching data -----------------------------------------

@@ -17,8 +17,9 @@ once per process.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 
 from susp5.abgroup import FgAbGroup, _prime_power_factors, direct_sum_counted
 
@@ -135,9 +136,6 @@ class ElementaryComplex:
     def weight(self) -> int:
         """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
         return _VARIANTS[self.kind].weight
-
-    def sort_key(self):
-        return self._key
 
     # -- rendering ----------------------------------------------------------
 
@@ -264,14 +262,14 @@ class Wedge:
         return self.render()
 
 
-def wedge(*summands: ElementaryComplex) -> Wedge:
-    """The canonical wedge of summands given in any order.
+def wedge_of(counts: dict[ElementaryComplex, int]) -> Wedge:
+    """The canonical wedge of counts[cx] copies of each summand cx: zero
+    counts drop out, the rest are sorted by key, Wedge rejects a negative."""
+    runs = sorted(((cx, n) for cx, n in counts.items() if n), key=lambda run: run[0]._key)
+    return Wedge(tuple(runs))
 
-    A run of one repeated object is counted as a whole, so a list like
-    [sphere(2)] * l costs one sort key; equal summands held by different
-    objects have the same key and share a run."""
-    counts: dict[tuple, list] = {}
-    for _, same in groupby(summands, key=id):
-        same = list(same)
-        counts.setdefault(same[0]._key, [same[0], 0])[1] += len(same)
-    return Wedge(tuple((cx, n) for _, (cx, n) in sorted(counts.items())))
+
+def wedge(*summands: ElementaryComplex) -> Wedge:
+    """The canonical wedge of summands given in any order; equal summands
+    held by different objects share a run."""
+    return wedge_of(Counter(summands))

@@ -339,7 +339,8 @@ def torsion_groups(primes=(2, 3, 5, 7), max_summands: int = 4, max_exp: int = 4)
 import random
 from dataclasses import replace
 
-from susp5.decompose import ManifoldDescriptor
+from susp5.decompose import CASES, ManifoldDescriptor
+from susp5.spaces import chang_eta, chang_r, peterson, sphere, summand
 
 
 def random_torsion(rng: random.Random, primes, max_summands: int, max_exp: int) -> FgAbGroup:
@@ -413,6 +414,57 @@ def shape_variants(desc: ManifoldDescriptor):
                     replace(desc, c1=c1, c2=c2, consumed=consumed, case=case)
                 )
     return out
+
+
+# -- reference wedge lists ------------------------------------------------------
+
+# The wedges of susp5.decompose written out one list entry per summand,
+# with the top piece's absorption dispatched on string codes of their own,
+# so the library's count tables are checked against a second route.
+REFERENCE_ABSORBS = {
+    "null": None,
+    "eta": "S^4",
+    "eta_sq": "S^3",
+    "tilde_eta": "moore",
+    "ip_tilde_eta": "chang",
+    "i_eta_sq": "moore",
+}
+
+
+def reference_section_parts(desc, absorbs=None, j=None) -> list:
+    """The summands of W5, less the one a top piece absorbs: a three- or
+    four-sphere, the Moore summand j, or the C_r piece on the consumed
+    summand j."""
+    exps = desc.two_primary_exponents
+    H = desc.h1_torsion
+    return (
+        [sphere(3)] * (desc.d - desc.c1 - (absorbs == "S^3"))
+        + [sphere(4)] * (desc.d - (absorbs == "S^4"))
+        + [sphere(5)] * (desc.l - desc.c1 - desc.c2)
+        + peterson(3, H)
+        + peterson(4, desc.remaining_torsion(j if absorbs == "moore" else None))
+        + peterson(5, H)
+        + [chang_eta(5)] * desc.c1
+        + [chang_r(5, exps[i]) for i in desc.consumed if (absorbs, i) != ("chang", j)]
+    )
+
+
+def reference_single_parts(desc) -> list:
+    """The summands of the suspension wedge, one entry each."""
+    top = summand(CASES[desc.case.kind].top, 6, 0, desc.case.r or 0)
+    absorbs = REFERENCE_ABSORBS[desc.case.kind]
+    return [sphere(2)] * desc.l + reference_section_parts(desc, absorbs, desc.case.index) + [top]
+
+
+def reference_section(desc, k: int) -> list:
+    """The summands of the homology section W_k, k in 3..5, one entry each."""
+    if k == 5:
+        return reference_section_parts(desc)
+    H = desc.h1_torsion
+    parts = [sphere(3)] * desc.d + peterson(3, H) + peterson(4, desc.h2_torsion)
+    if k == 4:
+        parts += [sphere(4)] * desc.d + peterson(5, H)
+    return parts
 
 
 def wedge_homology(w, degree: int) -> FgAbGroup:

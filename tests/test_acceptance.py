@@ -18,6 +18,7 @@ from helpers import (
     flag_dimensions,
     mat_mul,
     random_descriptor,
+    reference_single_parts,
     shape_variants,
 )
 from susp5.abgroup import FgAbGroup, smith_normal_form
@@ -45,6 +46,7 @@ from susp5.reduction import (
     reduce_h_matrix,
     reduce_phi,
 )
+from susp5.spaces import wedge
 
 
 def G(text: str) -> FgAbGroup:
@@ -435,13 +437,18 @@ def test_criterion_6_exhaustive_attachment_normal_form():
 def test_criterion_7_double_suspension_consistency():
     for name, d0, _ in SUITE:
         single = suspension_decomposition(d0)
-        assert double_suspension_decomposition(d0) == single.suspend(), name
+        double = double_suspension_decomposition(d0)
+        assert double == single.suspend(), name
+        # a second route: the reference list, one suspended entry per summand
+        assert double == wedge(*(p.suspend() for p in reference_single_parts(d0))), name
     # Three-primary torsion in degree one blocks the single suspension but
     # not the double one.
     blocked = desc(2, 1, H="Z/3 + Z/5")
     with pytest.raises(DecompositionError):
         suspension_decomposition(blocked)
-    rendered = double_suspension_decomposition(blocked).render()
+    double = double_suspension_decomposition(blocked)
+    assert double == wedge(*(p.suspend() for p in reference_single_parts(blocked)))
+    rendered = double.render()
     assert "P^4(Z/3)" in rendered
     assert "P^6(Z/3)" in rendered
     print(

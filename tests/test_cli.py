@@ -311,6 +311,41 @@ def test_file_level_error_is_located(tmp_path, monkeypatch, capsys, text, where,
     assert capsys.readouterr().err == f"f.txt:{where}: consistency error: {message}\n"
 
 
+# A matrix-route file up to its one sphere row, for the block-level errors.
+_MATRIX_HEAD = "l = 1\nd = 1\nspin = false\n\n[h_matrix]\nsphere = 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, located",
+    [
+        (
+            MINIMAL + "\n[h_matrix]\n[h_matrix]\n",
+            "6:1: consistency error: duplicate [h_matrix] block",
+        ),
+        (_MATRIX_HEAD + "[phi]\ny = 1\n[phi]\n", "9:1: consistency error: duplicate [phi] block"),
+        (MINIMAL + "[psi]\n", "4:1: syntax error: unknown block [psi]"),
+        (_MATRIX_HEAD + "moore = 0\n", "7:1: syntax error: expected 'moore r=<exp> = entries'"),
+        (_MATRIX_HEAD + "moore r=0 = 0\n", "7:1: range error: moore exponent must be at least 1"),
+        (_MATRIX_HEAD + "[phi]\nq = 1\n", "8:1: syntax error: expected 'x|y|z|eps|w = bits'"),
+        (
+            _MATRIX_HEAD + "[phi]\ny = 1\ny = 0\n",
+            "9:1: consistency error: duplicate phi component 'y'",
+        ),
+        (
+            "l = 2\nd = 1\nT = Z/2\nspin = false\nconsumed = 0, 1\n",
+            "5:12: syntax error: consumed must look like [0, 2]",
+        ),
+    ],
+    ids=["duplicate-matrix", "duplicate-phi", "unknown-block", "moore-without-r", "moore-r-0",
+         "bad-phi-key", "duplicate-phi-component", "consumed-without-brackets"],
+)
+def test_block_and_row_errors_are_located(tmp_path, monkeypatch, capsys, text, located):
+    monkeypatch.chdir(tmp_path)
+    Path("f.txt").write_text(text)
+    assert main(["f.txt"]) == 2
+    assert capsys.readouterr().err == f"f.txt:{located}\n"
+
+
 def test_phi_without_matrix_rejected():
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text(MINIMAL + "\n[phi]\ny = 1\n")
@@ -665,6 +700,13 @@ def test_three_torsion_single_vs_double_mode(tmp_path):
     assert "P^4(Z/3)" in report["double_suspension"]
     assert report["checks"]["cohomotopy_crosscheck"].startswith("skipped")
 
+    buf = io.StringIO()
+    assert run(RunConfig(mode="double"), stdin=io.StringIO(text), stdout=buf) == 0
+    assert (
+        "suspension:         not split (three-primary classes in h1 obstruct "
+        "the single-suspension splitting)\n"
+    ) in buf.getvalue()
+
 
 # One way to break the recomputation behind each consistency check.
 _Z, _0 = FgAbGroup.free(1), FgAbGroup.trivial()
@@ -707,15 +749,34 @@ def test_check_none_skips_checks(tmp_path, monkeypatch, capsys):
 )
 def test_one_report_builds_the_suspension_wedge_once(monkeypatch, text, mode):
     calls = []
-    single_parts = decompose._single_parts
+    single_counts = decompose._single_counts
 
     def counted(desc):
         calls.append(desc)
-        return single_parts(desc)
+        return single_counts(desc)
 
-    monkeypatch.setattr(decompose, "_single_parts", counted)
+    monkeypatch.setattr(decompose, "_single_counts", counted)
     build_report(parse_descriptor_text(text), mode=mode)
     assert len(calls) == 1
+
+
+def test_reports_build_no_summand_list(monkeypatch):
+    """Every report wedge comes from a count table: wedge(), the normaliser
+    of summand lists, raises wherever a susp5 module holds it."""
+    def no_lists(*summands):
+        raise AssertionError("a report built a wedge from a summand list")
+
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "susp5"]
+    for module in holders:
+        if hasattr(module, "wedge"):
+            monkeypatch.setattr(module, "wedge", no_lists)
+    root = Path(__file__).resolve().parents[1]
+    texts = [p.read_text() for p in sorted((root / "scripts" / "descriptors").glob("*.txt"))]
+    assert texts
+    for text in texts:
+        for mode in ("single", "double"):
+            build_report(parse_descriptor_text(text), mode=mode)
+    build_report(parse_descriptor_text(THREE_PRIMARY_ETA), mode="double")
 
 
 def test_a_second_pass_builds_no_summand(monkeypatch):

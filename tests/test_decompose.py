@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_descriptor, valid_cases
+from helpers import (
+    random_descriptor,
+    reference_section,
+    reference_single_parts,
+    valid_cases,
+)
 from susp5.abgroup import FgAbGroup
 from susp5.cli import parse_descriptor_text, render_descriptor
 from susp5.decompose import (
+    CASES,
     DecompositionError,
     DescriptorError,
     ManifoldDescriptor,
@@ -21,6 +27,7 @@ from susp5.decompose import (
     suspension_decomposition,
 )
 from susp5.reduction import AttachCase, AttachingDataError, HMatrix
+from susp5.spaces import wedge
 
 Z0 = FgAbGroup.trivial()
 
@@ -195,6 +202,69 @@ def test_double_is_suspension_of_single():
     for _ in range(40):
         d0 = random_descriptor(rng, h1_primes=(5, 7))
         assert double_suspension_decomposition(d0) == suspension_decomposition(d0).suspend()
+
+
+# Invariants whose every shape and case joins the seeded sample: torsion
+# whose (p, e) order differs from its order order, and repeated exponents,
+# so a top piece absorbs one of two equal Moore summands or C^5_r pieces.
+_SHAPED = [
+    (3, 2, "0", "Z/9 + Z/5"),
+    (2, 2, "Z/5", "Z/8 + Z/3"),
+    (3, 2, "Z/3 + Z/7", "Z/4 + Z/4 + Z/2"),
+    (3, 1, "0", "Z/2 + Z/2 + Z/8 + Z/8"),
+]
+
+
+def _every_shape(l, d, H, T):
+    """Descriptors over every (c1, c2, consumed, case) and flag pair."""
+    out = []
+    t2 = len(FgAbGroup.from_string(T).primary_exponents(2))
+    for spin, smooth in product((True, False), repeat=2):
+        for c1 in range(min(l, d) + 1):
+            for c2 in range(min(l - c1, t2) + 1):
+                for consumed in combinations(range(t2), c2):
+                    for case in valid_cases(l, d, t2, c1, c2, consumed, smooth, spin):
+                        out.append(desc(l, d, H, T, spin, smooth, c1=c1, c2=c2,
+                                        consumed=consumed, case=case))
+    return out
+
+
+def _absorbs_one_of_two(d0) -> bool:
+    """The top piece absorbs one of two equal Moore summands or C^5_r pieces."""
+    if d0.case.index is None:
+        return False
+    consumed = d0.case.kind == "ip_tilde_eta"
+    same = [
+        i for i, e in enumerate(d0.two_primary_exponents)
+        if e == d0.case.r and (i in d0.consumed) == consumed
+    ]
+    return len(same) >= 2
+
+
+def test_count_tables_match_the_reference_lists():
+    """Each wedge equals the one the per-summand reference lists give."""
+    rng = random.Random(16)
+    descs = [random_descriptor(rng) for _ in range(200)]
+    descs += [random_descriptor(rng, max_l=64, max_d=64, max_torsion=21) for _ in range(200)]
+    for shape in _SHAPED:
+        descs += _every_shape(*shape)
+    assert len(descs) >= 500
+    assert {d0.case.kind for d0 in descs} == set(CASES)
+    assert any(d0.h1_torsion.has_3_torsion for d0 in descs)
+    assert max(d0.l for d0 in descs) > 32 and max(d0.d for d0 in descs) > 32
+    assert {d0.case.kind for d0 in descs if _absorbs_one_of_two(d0)} == {
+        "tilde_eta", "i_eta_sq", "ip_tilde_eta"
+    }
+    for d0 in descs:
+        single = reference_single_parts(d0)
+        if d0.h1_torsion.has_3_torsion:
+            with pytest.raises(DecompositionError):
+                suspension_decomposition(d0)
+        else:
+            assert suspension_decomposition(d0) == wedge(*single), d0
+        assert double_suspension_decomposition(d0) == wedge(*(p.suspend() for p in single)), d0
+        for k in (3, 4, 5):
+            assert homology_section(d0, k) == wedge(*reference_section(d0, k)), (d0, k)
 
 
 def test_validation_errors():

@@ -72,7 +72,7 @@ def test_candidates_cover_every_variant():
 def test_wedge_reads_agree_with_the_per_summand_loop(seed):
     parts = _random_parts(random.Random(seed), CANDIDATES)
     w = wedge(*parts)
-    ordered = sorted(parts, key=ElementaryComplex.sort_key)
+    ordered = sorted(parts, key=lambda cx: (cx.dim, _VARIANTS[cx.kind].rank, cx.order, cx.r))
     assert sum(n for _, n in w.runs) == len(parts)
     assert all(a != b for (a, _), (b, _) in zip(w.runs, w.runs[1:]))
     assert expand(w.runs) == ordered
