@@ -5,6 +5,9 @@ Groups are stored as a free rank together with a tuple of prime-power cyclic
 summands.  By the structure theorem every finitely generated abelian group is
 Z^r + sum of Z/p^e with the multiset of (p, e) unique, so equality of the
 canonical form is isomorphism and nothing is ever compared "up to extension".
+Every constructor returns the one group of its canonical form in this
+process (see _canonical), so each distinct group is validated and rendered
+once; FgAbGroup(...) itself still builds and validates a fresh object.
 """
 from __future__ import annotations
 
@@ -295,11 +298,11 @@ class FgAbGroup:
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
-        return cls(0, ())
+        return _canonical(0, ())
 
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
-        return cls(rank, ())
+        return _canonical(rank, ())
 
     @classmethod
     @functools.lru_cache(maxsize=4096)
@@ -322,11 +325,11 @@ class FgAbGroup:
                 rank += 1
             elif k > 1:
                 tors.extend(_prime_power_factors(k))
-        return cls(rank, tuple(sorted(tors)))
+        return _canonical(rank, tuple(sorted(tors)))
 
     @classmethod
     def from_primary(cls, free_rank: int, pairs) -> "FgAbGroup":
-        return cls(free_rank, tuple(sorted(tuple(t) for t in pairs)))
+        return _canonical(free_rank, tuple(sorted(tuple(t) for t in pairs)))
 
     @classmethod
     def from_presentation(cls, a) -> "FgAbGroup":
@@ -349,8 +352,12 @@ class FgAbGroup:
     )
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def from_string(cls, text: str) -> "FgAbGroup":
         """Parse group literals like '0', 'Z', 'Z^2 + Z/4 + Z/3', 'Z/2^3'.
+
+        Memoised: a survey gives the same few literals in file after file.
+        A bad literal raises on every call, since errors are not cached.
 
         >>> FgAbGroup.from_string("Z^2 + Z/2^3") == FgAbGroup(2, ((2, 3),))
         True
@@ -378,7 +385,7 @@ class FgAbGroup:
                 if n is None:
                     raise OrderRangeError(f"free rank of {term!r} is not below 2^64")
                 rank += n  # a count: Z^n costs no list of n
-        return cls(rank, tuple(sorted(tors)))
+        return _canonical(rank, tuple(sorted(tors)))
 
     # -- structure ---------------------------------------------------------
 
@@ -407,7 +414,7 @@ class FgAbGroup:
         if bad:
             raise IndexError(f"no torsion summand at {sorted(bad)}")
         kept = tuple(t for i, t in enumerate(self.torsion) if i not in drop)
-        return FgAbGroup(self.free_rank, kept)
+        return _canonical(self.free_rank, kept)
 
     # -- rendering ---------------------------------------------------------
 
@@ -429,6 +436,18 @@ class FgAbGroup:
         return self.render()
 
 
+@functools.lru_cache(maxsize=8192)
+def _canonical(free_rank: int, torsion: tuple[tuple[int, int], ...], /) -> FgAbGroup:
+    """The one group of canonical form (free_rank, torsion) in this process.
+
+    Every constructor above and below returns through here, so a batch of
+    reports validates and renders each distinct group once.  The validating
+    FgAbGroup(...) builds each entry; an invalid form raises on every call,
+    since errors are not cached.
+    """
+    return FgAbGroup(free_rank, torsion)
+
+
 def direct_sum_counted(terms) -> FgAbGroup:
     """Direct sum of n copies of g for each (g, n) in terms.
 
@@ -441,7 +460,7 @@ def direct_sum_counted(terms) -> FgAbGroup:
         rank += g.free_rank * n
         tors += g.torsion * n
     tors.sort()
-    return FgAbGroup(rank, tuple(tors))
+    return _canonical(rank, tuple(tors))
 
 
 def direct_sum(*groups: FgAbGroup) -> FgAbGroup:

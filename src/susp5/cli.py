@@ -43,9 +43,7 @@ from susp5.decompose import (
 from susp5.invariants import (
     BalanceError,
     hurewicz_cohomotopy,
-    k_closed_form,
     k_group,
-    ko_closed_form,
     ko_group,
     pi3,
     pi4_sigma_crosscheck,
@@ -192,18 +190,17 @@ class _Parser:
         self.phi_rows[key] = (bits, lineno, 1)
 
     def _entries(self, text, vocab, lineno, allow_empty=False):
-        out = []
-        allowed = "/".join(vocab)
-        for tok in text.split():
-            if tok in vocab:
-                out.append(vocab[tok])
-            elif re.fullmatch(r"-?[0-9]+", tok):
+        tokens = text.split()
+        out = tuple(map(vocab.get, tokens))
+        if None in out:  # reported at the first token not in vocab
+            tok = tokens[out.index(None)]
+            allowed = "/".join(vocab)
+            if re.fullmatch(r"-?[0-9]+", tok):
                 self.error("range", f"entry {tok!r} not allowed here (use {allowed})", lineno, 1)
-            else:
-                self.error("syntax", f"unknown entry {tok!r} (use {allowed})", lineno, 1)
+            self.error("syntax", f"unknown entry {tok!r} (use {allowed})", lineno, 1)
         if not out and not allow_empty:
             self.error("syntax", "empty row", lineno, 1)
-        return tuple(out)
+        return out
 
     # -- typed scalar access ---------------------------------------------------
 
@@ -363,14 +360,8 @@ def render_descriptor(desc: ManifoldDescriptor) -> str:
 # -- reports -------------------------------------------------------------------
 
 def _trace_rows(comp):
-    """One row per summand, rendered once per run of equal summands."""
-    rows = []
-    for c, n in comp.runs:
-        row = [c.summand.render(), c.group.render()]
-        if c.implied:
-            row.append("implied")
-        rows += [row.copy() for _ in range(n)]
-    return rows
+    """One fresh list per summand, from each contribution's rendered row."""
+    return [list(c.row) for c, n in comp.runs for _ in range(n)]
 
 
 def build_report(desc, mode="single", run_checks=True):
@@ -390,13 +381,15 @@ def build_report(desc, mode="single", run_checks=True):
     double = single.suspend() if single is not None else double_suspension_decomposition(desc)
     hm = manifold_homology(desc)
 
-    # trace name -> computation; a table out of balance has no trace
-    comps = {}
+    # trace name -> computation; a table out of balance has no trace.  A
+    # balanced group is its closed form, so each closed form is computed once.
+    comps, closed = {}, {}
     for name, compute in (("k", k_group), ("ko", ko_group)):
         try:
             comps[name] = compute(desc, double)
-        except BalanceError:
-            pass
+            closed[name] = comps[name].group
+        except BalanceError as exc:
+            closed[name] = exc.expected
     p3 = pi3(desc)
     if single is not None:
         comps["pi4_sigma"] = pi4_sigma_crosscheck(single)
@@ -423,8 +416,8 @@ def build_report(desc, mode="single", run_checks=True):
         "sections": {f"w{k}": homology_section(desc, k).render() for k in (3, 4, 5)},
         "homology": {str(i): hm[i].render() for i in range(6)},
         "invariants": {
-            "k": k_closed_form(desc).render(),
-            "ko": ko_closed_form(desc).render(),
+            "k": closed["k"].render(),
+            "ko": closed["ko"].render(),
             "pi1": hurewicz_cohomotopy(desc, 1).render(),
             "pi3": p3.render(),
             "pi5": hurewicz_cohomotopy(desc, 5).render(),

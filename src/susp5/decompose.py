@@ -16,9 +16,10 @@ sections, each built from one count per summand (see _section_counts).
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 
 from susp5.abgroup import FgAbGroup
 from susp5.reduction import (
@@ -173,8 +174,10 @@ class ManifoldDescriptor:
         """A Poincare duality complex rather than a smooth manifold."""
         return not self.smooth
 
-    @property
+    @cached_property
     def two_primary_exponents(self) -> tuple[int, ...]:
+        """Exponents of the two-primary summands of h2_torsion, ascending;
+        computed once per descriptor."""
         return self.h2_torsion.primary_exponents(2)
 
     def remaining_torsion(self, extra: int | None = None) -> FgAbGroup:
@@ -201,7 +204,7 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
     }
 
 
-def _section_counts(desc: ManifoldDescriptor, k: int) -> Counter:
+def _section_counts(desc: ManifoldDescriptor, k: int) -> dict:
     """The summands of W_k, k in 3..5, and their multiplicities.  W5 is the
     suspension wedge less its l two-spheres and top piece.  Below k = 5,
     C^5_eta keeps only its bottom S^3, C^5_r its bottom P^4(2^r), so P^4
@@ -211,31 +214,35 @@ def _section_counts(desc: ManifoldDescriptor, k: int) -> Counter:
         raise DecompositionError("homology sections are defined for k in 3..5")
     H, exps = desc.h1_torsion, desc.two_primary_exponents
     c1, consumed = (desc.c1, desc.consumed) if k == 5 else (0, ())
-    counts = Counter({
+    counts = {
         sphere(3): desc.d - c1,
         sphere(4): desc.d if k >= 4 else 0,
         sphere(5): desc.l - desc.c1 - desc.c2 if k == 5 else 0,
         chang_eta(5): c1,
-    })
-    counts.update(
-        peterson(3, H)
-        + peterson(4, desc.remaining_torsion() if k == 5 else desc.h2_torsion)
-        + (peterson(5, H) if k >= 4 else [])
-        + [chang_r(5, exps[i]) for i in consumed]
-    )
+    }
+    for cx in chain(
+        peterson(3, H),
+        peterson(4, desc.remaining_torsion() if k == 5 else desc.h2_torsion),
+        peterson(5, H) if k >= 4 else (),
+        (chang_r(5, exps[i]) for i in consumed),
+    ):
+        counts[cx] = counts.get(cx, 0) + 1
     return counts
 
 
-def _single_counts(desc: ManifoldDescriptor) -> Counter:
+def _single_counts(desc: ManifoldDescriptor) -> dict:
     """The summands of the suspension wedge: l two-spheres, W5 and the top
     piece, less the one W5 summand the top piece absorbs (see _Case)."""
     case = CASES[desc.case.kind]
     r = desc.case.r or 0
     counts = _section_counts(desc, 5)
-    counts.update({sphere(2): desc.l, summand(case.top, 6, 0, r): 1})
+    # W5 tops out in dimension 5, so neither S^2 nor the top piece is in it yet
+    counts[sphere(2)] = desc.l
+    counts[summand(case.top, 6, 0, r)] = 1
     if case.absorbs is not None:
         kind, dim = case.absorbs
-        counts[summand(kind, dim, 2**r, 0) if kind == MOORE else summand(kind, dim, 0, r)] -= 1
+        cx = summand(kind, dim, 2**r, 0) if kind == MOORE else summand(kind, dim, 0, r)
+        counts[cx] = counts.get(cx, 0) - 1
     return counts
 
 

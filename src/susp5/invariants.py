@@ -14,7 +14,8 @@ by summand; the two must agree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 from susp5.abgroup import FgAbGroup, direct_sum, direct_sum_counted
 from susp5.decompose import ManifoldDescriptor
@@ -37,7 +38,12 @@ class UnsupportedSummand(LookupError):
 
 
 class BalanceError(ArithmeticError):
-    """A group assembled from the summand tables disagrees with its closed form."""
+    """A group assembled from the summand tables disagrees with its closed
+    form; expected is the closed form."""
+
+    def __init__(self, message: str, expected: FgAbGroup):
+        super().__init__(message)
+        self.expected = expected
 
 
 _Z = FgAbGroup.free(1)
@@ -54,12 +60,18 @@ class Contribution:
     """One wedge summand's share of an invariant.
 
     `implied` marks entries that come from connectivity or dimension
-    bounds rather than a tabulated group.
+    bounds rather than a tabulated group.  row is the contribution's trace
+    row as text, rendered when it is built.
     """
 
     summand: ElementaryComplex
     group: FgAbGroup
     implied: bool = False
+    row: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        row = (self.summand.render(), self.group.render())
+        object.__setattr__(self, "row", row + ("implied",) if self.implied else row)
 
 
 @dataclass(frozen=True)
@@ -180,26 +192,38 @@ def ko_closed_form(desc: ManifoldDescriptor) -> FgAbGroup:
     return FgAbGroup.from_primary(desc.l, [(2, 1)] * n)
 
 
-def _assemble(w: Wedge, entry) -> GroupComputation:
-    """Direct sum of a per-summand entry, looked up once per run of equal
-    summands; entry maps a summand to (group, implied)."""
-    runs = tuple((Contribution(s, *entry(s)), n) for s, n in w.runs)
+@functools.lru_cache(maxsize=8192)
+def _contribution(table, s: ElementaryComplex, /) -> Contribution:
+    """The one contribution of summand s to table in this process.
+
+    table maps a summand to its group, or to (group, implied).  The key is
+    the table function itself, so a replaced table gets entries of its own;
+    an UnsupportedSummand raises on every call, since errors are not cached.
+    """
+    entry = table(s)
+    return Contribution(s, *entry) if isinstance(entry, tuple) else Contribution(s, entry)
+
+
+def _assemble(w: Wedge, table) -> GroupComputation:
+    """Direct sum of a per-summand table entry, one contribution per run of
+    equal summands."""
+    runs = tuple((_contribution(table, s), n) for s, n in w.runs)
     return GroupComputation(direct_sum_counted([(c.group, n) for c, n in runs]), runs)
 
 
 def k_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
     """Reduced complex K-theory, read off the double suspension wedge."""
-    comp = _assemble(double, lambda s: (k_of_summand(s), False))
-    if comp.group != k_closed_form(desc):
-        raise BalanceError("complex K-theory table out of balance")
+    comp, expected = _assemble(double, k_of_summand), k_closed_form(desc)
+    if comp.group != expected:
+        raise BalanceError("complex K-theory table out of balance", expected)
     return comp
 
 
 def ko_group(desc: ManifoldDescriptor, double: Wedge) -> GroupComputation:
     """Reduced real K-theory, read off the double suspension wedge."""
-    comp = _assemble(double, lambda s: (ko_of_summand(s), False))
-    if comp.group != ko_closed_form(desc):
-        raise BalanceError("real K-theory table out of balance")
+    comp, expected = _assemble(double, ko_of_summand), ko_closed_form(desc)
+    if comp.group != expected:
+        raise BalanceError("real K-theory table out of balance", expected)
     return comp
 
 

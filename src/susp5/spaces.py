@@ -72,9 +72,9 @@ class ElementaryComplex:
 
     dim is the top cell dimension; order carries the Moore-space torsion
     order p^e and r the exponent of a 2-primary bottom Moore piece, each
-    used only where the variant calls for it.  The sort key, the rendered
-    text and the reduced homology are computed when the summand is built;
-    the factories below build each distinct summand once per process.
+    used only where the variant calls for it.  The sort key, its hash, the
+    rendered text and the reduced homology are computed when the summand is
+    built; the factories below build each distinct summand once per process.
     """
 
     kind: str
@@ -82,6 +82,7 @@ class ElementaryComplex:
     order: int = 0
     r: int = 0
     _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     _text: str = field(init=False, repr=False, compare=False)
     _homology: tuple[tuple[int, FgAbGroup], ...] = field(
         init=False, repr=False, compare=False
@@ -106,10 +107,17 @@ class ElementaryComplex:
             homology[cells[0]] = FgAbGroup.cyclic(self.order or 2**self.r)
             del homology[cells[1]]
         object.__setattr__(self, "_homology", tuple(homology.items()))
-        object.__setattr__(self, "_key", (self.dim, v.rank, self.order, self.r))
+        key = (self.dim, v.rank, self.order, self.r)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(
             self, "_text", v.template.format(n=self.dim, order=self.order, r=self.r)
         )
+
+    def __hash__(self) -> int:
+        # the key determines the fields equality compares, so equal summands
+        # hash alike; count tables look summands up by it
+        return self._hash
 
     # -- structure ----------------------------------------------------------
 
@@ -226,11 +234,13 @@ class Wedge:
     runs: tuple[tuple[ElementaryComplex, int], ...] = ()
 
     def __post_init__(self) -> None:
-        keys = [cx._key for cx, _ in self.runs]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("wedge runs not in canonical order; use wedge()")
-        if any(n < 1 for _, n in self.runs):
-            raise ValueError("wedge run multiplicities must be at least 1")
+        prev = None
+        for cx, n in self.runs:
+            if prev is not None and prev >= cx._key:
+                raise ValueError("wedge runs not in canonical order; use wedge()")
+            if n < 1:
+                raise ValueError("wedge run multiplicities must be at least 1")
+            prev = cx._key
 
     def homology(self) -> dict[int, FgAbGroup]:
         """Reduced homology of the wedge (degreewise direct sum)."""

@@ -257,3 +257,75 @@ def test_large_primes_factor_within_a_second(k):
 
 def test_prime_power_factor_memo_is_bounded():
     assert _prime_power_factors.cache_info().maxsize is not None
+
+
+def _same_group(g, rank, torsion):
+    """g is the interned group of (rank, torsion), and a fresh FgAbGroup of
+    that form equals, hashes and renders like it."""
+    direct = FgAbGroup(rank, torsion)
+    assert g is FgAbGroup.from_primary(rank, torsion)
+    assert direct is not g
+    assert direct == g and hash(direct) == hash(g)
+    assert direct.render() == g.render() and repr(direct) == repr(g)
+
+
+class TestInterning:
+    """Every constructor returns the one group of its canonical form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.integers(2, 200), max_size=5))
+    def test_orders_literals_and_sums_meet(self, rank, orders):
+        g = FgAbGroup.from_orders([0] * rank + orders)
+        text = " + ".join(["Z"] * rank + [f"Z/{k}" for k in orders]) or "0"
+        assert FgAbGroup.from_string(text) is g
+        assert direct_sum(FgAbGroup.free(rank), *map(FgAbGroup.cyclic, orders)) is g
+        _same_group(g, g.free_rank, g.torsion)
+
+    @settings(max_examples=100, deadline=None)
+    @given(helpers.fg_groups(), helpers.fg_groups(), st.data())
+    def test_sums_and_drops_meet(self, a, b, data):
+        s = a.direct_sum(b)
+        assert s is direct_sum(b, a) is FgAbGroup.from_primary(
+            a.free_rank + b.free_rank, a.torsion + b.torsion
+        )
+        _same_group(s, s.free_rank, s.torsion)
+        drop = data.draw(st.sets(st.integers(0, max(len(s.torsion) - 1, 0))))
+        drop &= set(range(len(s.torsion)))
+        kept = tuple(t for i, t in enumerate(s.torsion) if i not in drop)
+        assert s.drop_torsion_summands(drop) is FgAbGroup.from_primary(s.free_rank, kept)
+
+    def test_examples(self):
+        assert FgAbGroup.from_string("Z/6") is FgAbGroup.from_orders([6])
+        assert FgAbGroup.from_string("Z/2 + Z/3") is FgAbGroup.from_string("Z/6")
+        assert FgAbGroup.trivial() is FgAbGroup.from_string("0") is direct_sum()
+        assert FgAbGroup.free(2) is FgAbGroup.from_orders([0, 0])
+        _same_group(FgAbGroup.from_string("Z/6"), 0, ((2, 1), (3, 1)))
+
+    def test_the_direct_constructor_still_validates(self):
+        bad = ((-1, ()), (0, ((6, 1),)), (0, ((2, 0),)))
+        for rank, torsion in bad + ((0, ((3, 1), (2, 1))),):  # the last one unsorted
+            with pytest.raises(ValueError):
+                FgAbGroup(rank, torsion)
+        for rank, torsion in bad:  # from_primary sorts, then validates through the memo
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    FgAbGroup.from_primary(rank, torsion)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["Z/1", "Q", "Z//2", "", "Z/2^64", "Z^" + "9" * 5000],
+        ids=["Z/1", "Q", "Z//2", "empty", "Z/2^64", "Z^(5000 digits)"],
+    )
+    def test_an_invalid_literal_raises_on_every_call(self, bad):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as ei:
+                FgAbGroup.from_string(bad)
+            messages.append((type(ei.value), str(ei.value)))
+        assert messages[0] == messages[1]
+
+    def test_memos_are_bounded(self):
+        from susp5.abgroup import _canonical
+
+        assert _canonical.cache_info().maxsize is not None
+        assert FgAbGroup.from_string.cache_info().maxsize is not None

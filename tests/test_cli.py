@@ -1,5 +1,6 @@
 """Front-end parsing, report building, and exit codes."""
 
+import copy
 import errno
 import io
 import json
@@ -365,6 +366,20 @@ def test_matrix_entry_errors():
     with pytest.raises(ParseError) as ei:
         parse_descriptor_text(MATRIX.replace("eta 0", "zeta 0"))
     assert ei.value.kind == "syntax"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("sphere = eta 0 bogus 7", "syntax error: unknown entry 'bogus' (use 0/eta)"),
+        ("sphere = eta 2 bogus", "range error: entry '2' not allowed here (use 0/eta)"),
+        ("sphere = 0 eta -1", "range error: entry '-1' not allowed here (use 0/eta)"),
+    ],
+)
+def test_matrix_entry_error_names_the_first_bad_token(row, message):
+    with pytest.raises(ParseError) as ei:
+        parse_descriptor_text(MATRIX.replace("sphere = eta 0", row))
+    assert str(ei.value) == f"<input>:9:1: {message}"
 
 
 def test_descriptor_inconsistency_reported():
@@ -734,6 +749,39 @@ def test_every_check_can_fail_end_to_end(tmp_path, monkeypatch, capsys, check):
     report = json.loads(capsys.readouterr().out)
     assert report["checks"] == {name: "fail" if name == check else "ok" for name in _FAULTS}
     assert set(report["traces"]) == {"k", "ko", "pi4_sigma"} - {_TRACE_OF.get(check)}
+
+
+def test_planted_table_faults_get_through_warm_memos(monkeypatch):
+    """The contribution memo is keyed by the table a report looks up, so a
+    replaced table fails its check after the real one has filled the memo,
+    and the real one reads ok again once it is back."""
+    desc = parse_descriptor_text(FULL)
+    clean = build_report(desc)
+    assert set(clean["checks"].values()) == {"ok"}
+    for check in ("complex_k_balance", "real_k_balance", "cohomotopy_crosscheck"):
+        with monkeypatch.context() as m:
+            m.setattr(*_FAULTS[check])
+            report = build_report(desc)
+        assert report["checks"] == {name: "fail" if name == check else "ok" for name in _FAULTS}
+        if check in _TRACE_OF:
+            assert set(report["traces"]) == {"k", "ko", "pi4_sigma"} - {_TRACE_OF[check]}
+        else:
+            assert {row[1] for row in report["traces"]["pi4_sigma"]} == {"Z"}
+        assert build_report(desc) == clean
+
+
+def test_reports_share_no_mutable_state():
+    """Changing every list of one report leaves the next report of the same
+    descriptor as it was."""
+    desc = parse_descriptor_text(FULL)
+    first = build_report(desc)
+    kept = copy.deepcopy(first)
+    first["input"]["consumed"].append(99)
+    for rows in first["traces"].values():
+        for row in rows:
+            row.append("changed")
+        rows.append(["changed"])
+    assert build_report(desc) == kept
 
 
 def test_check_none_skips_checks(tmp_path, monkeypatch, capsys):

@@ -201,6 +201,14 @@ class TestMemo:
             assert direct.reduced_homology() == cx.reduced_homology()
             assert repr(direct) == repr(cx)
 
+    def test_a_direct_summand_finds_the_memoised_entry(self):
+        counts = {cx: i for i, cx in enumerate(all_variants())}
+        for cx, i in counts.items():
+            direct = ElementaryComplex(cx.kind, cx.dim, cx.order, cx.r)
+            assert hash(direct) == hash(cx) == hash(cx._key)
+            assert counts[direct] == i
+        assert ElementaryComplex(spaces.SPHERE, 4) not in {sphere(3): 1, sphere(5): 1}
+
     def test_direct_and_memoised_summands_share_a_run(self):
         direct = ElementaryComplex(spaces.SPHERE, 2)
         parts = [sphere(3), direct, sphere(2), direct, sphere(2)]
