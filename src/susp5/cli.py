@@ -542,10 +542,6 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
             print(ParseError("consistency", str(exc), source, line, col), file=stderr)
             worst = 2
             continue
-        except (DescriptorError, AttachingDataError) as exc:
-            print(f"{source}: {exc}", file=stderr)
-            worst = 2
-            continue
         if any(str(v).startswith("fail") for v in report["checks"].values()):
             worst = max(worst, 1)
         outputs.append((source, report))

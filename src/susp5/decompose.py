@@ -12,10 +12,11 @@ the set of consumed two-primary summands of T, and the surviving top-cell
 case.  The suspension splits as a wedge of spheres, Moore spaces and a
 short list of four-cell-or-less complexes; this module computes that wedge
 for the single and double suspension along with the intermediate homology
-sections, each built from one count per summand (see _section_counts).
+sections, all read off W5 (ManifoldDescriptor.w5), built once per descriptor.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -33,12 +34,11 @@ from susp5.reduction import (
 from susp5.spaces import (
     CHANG_ETA,
     CHANG_IP_ETA_LIFT,
-    CHANG_R,
-    MOORE,
     MOORE_ETA_LIFT,
     MOORE_ETA_SQ,
     SPHERE,
     SPHERE_ETA_SQ,
+    ElementaryComplex,
     Wedge,
     chang_eta,
     chang_r,
@@ -69,32 +69,30 @@ class _Case:
     index says which two-primary summands of T case.index counts
     ('unconsumed', 'consumed', or None: the case takes no index); spin is
     the spin flag the case needs and smooth whether smooth input admits it;
-    top is the variant of the top piece of the suspension wedge; absorbs is
-    the (variant, top dimension) of the W5 summand the top piece replaces,
-    its parameter the case's exponent r, or None; phrase describes the case.
+    top is the variant of the top piece of the suspension wedge, its
+    parameter the case's exponent r; phrase describes the case.
     """
 
     index: str | None
     spin: bool
     smooth: bool
     top: str
-    absorbs: tuple[str, int] | None
     phrase: str
 
 
 # Every attaching case, in the order the descriptor format lists them.
 CASES = {
-    "null": _Case(None, True, True, SPHERE, None,
+    "null": _Case(None, True, True, SPHERE,
         "trivial top attachment; the top cell splits off as a sphere"),
-    "eta": _Case(None, False, True, CHANG_ETA, (SPHERE, 4),
+    "eta": _Case(None, False, True, CHANG_ETA,
         "top cell attached by a suspended Hopf map into a two-sphere summand"),
-    "eta_sq": _Case(None, True, False, SPHERE_ETA_SQ, (SPHERE, 3),
+    "eta_sq": _Case(None, True, False, SPHERE_ETA_SQ,
         "top cell attached by a doubly suspended squared Hopf map into a three-sphere summand"),
-    "tilde_eta": _Case("unconsumed", False, True, MOORE_ETA_LIFT, (MOORE, 4),
+    "tilde_eta": _Case("unconsumed", False, True, MOORE_ETA_LIFT,
         "top cell attached by a lifted Hopf map into a two-primary Moore summand"),
-    "ip_tilde_eta": _Case("consumed", False, True, CHANG_IP_ETA_LIFT, (CHANG_R, 5),
+    "ip_tilde_eta": _Case("consumed", False, True, CHANG_IP_ETA_LIFT,
         "top cell attached by a lifted Hopf map carried into an absorbed two-stage piece"),
-    "i_eta_sq": _Case("unconsumed", True, False, MOORE_ETA_SQ, (MOORE, 4),
+    "i_eta_sq": _Case("unconsumed", True, False, MOORE_ETA_SQ,
         "top cell attached by a squared Hopf map carried into a two-primary Moore summand"),
 }
 
@@ -160,14 +158,14 @@ class ManifoldDescriptor:
                 )
         elif j not in self.consumed:
             raise DescriptorError(f"case {kind!r} needs a consumed summand", "case")
-        if case.absorbs == (SPHERE, 3) and self.d - self.c1 < 1:
-            raise DescriptorError(f"case {kind!r} needs a free three-sphere", "case")
         if j is not None:
             r = self.two_primary_exponents[j]
             if self.case.r is None:
                 object.__setattr__(self, "case", replace(self.case, r=r))
             elif self.case.r != r:
                 raise DescriptorError("case exponent does not match the summand", "case")
+        if self.top_piece.section(5) == sphere(3) and self.d - self.c1 < 1:
+            raise DescriptorError(f"case {kind!r} needs a free three-sphere", "case")
 
     @property
     def pd_mode(self) -> bool:
@@ -179,6 +177,28 @@ class ManifoldDescriptor:
         """Exponents of the two-primary summands of h2_torsion, ascending;
         computed once per descriptor."""
         return self.h2_torsion.primary_exponents(2)
+
+    @cached_property
+    def top_piece(self) -> ElementaryComplex:
+        """The summand the top cell of the suspension lies in."""
+        return summand(CASES[self.case.kind].top, 6, 0, self.case.r or 0)
+
+    @cached_property
+    def w5(self) -> Wedge:
+        """The suspension wedge less its l two-spheres, with the top piece's
+        section at degree 5 in place of the top piece; built once."""
+        H, exps = self.h1_torsion, self.two_primary_exponents
+        counts = Counter(chain(
+            peterson(3, H), peterson(4, self.remaining_torsion()), peterson(5, H),
+            (chang_r(5, exps[i]) for i in self.consumed),
+        ))
+        counts.update({
+            sphere(3): self.d - self.c1,
+            sphere(4): self.d,
+            sphere(5): self.l - self.c1 - self.c2,
+            chang_eta(5): self.c1,
+        })
+        return wedge_of(counts)
 
     def remaining_torsion(self, extra: int | None = None) -> FgAbGroup:
         """h2 torsion with the consumed summands (and optionally one more
@@ -204,45 +224,16 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
     }
 
 
-def _section_counts(desc: ManifoldDescriptor, k: int) -> dict:
-    """The summands of W_k, k in 3..5, and their multiplicities.  W5 is the
-    suspension wedge less its l two-spheres and top piece.  Below k = 5,
-    C^5_eta keeps only its bottom S^3, C^5_r its bottom P^4(2^r), so P^4
-    covers all of T, and S^5 drops out; below k = 4, S^4 and P^5(H) drop
-    out as well."""
-    if k not in (3, 4, 5):
-        raise DecompositionError("homology sections are defined for k in 3..5")
-    H, exps = desc.h1_torsion, desc.two_primary_exponents
-    c1, consumed = (desc.c1, desc.consumed) if k == 5 else (0, ())
-    counts = {
-        sphere(3): desc.d - c1,
-        sphere(4): desc.d if k >= 4 else 0,
-        sphere(5): desc.l - desc.c1 - desc.c2 if k == 5 else 0,
-        chang_eta(5): c1,
-    }
-    for cx in chain(
-        peterson(3, H),
-        peterson(4, desc.remaining_torsion() if k == 5 else desc.h2_torsion),
-        peterson(5, H) if k >= 4 else (),
-        (chang_r(5, exps[i]) for i in consumed),
-    ):
-        counts[cx] = counts.get(cx, 0) + 1
-    return counts
-
-
 def _single_counts(desc: ManifoldDescriptor) -> dict:
     """The summands of the suspension wedge: l two-spheres, W5 and the top
-    piece, less the one W5 summand the top piece absorbs (see _Case)."""
-    case = CASES[desc.case.kind]
-    r = desc.case.r or 0
-    counts = _section_counts(desc, 5)
+    piece, less the W5 summand it absorbs: its section at degree 5."""
+    counts = dict(desc.w5.runs)
     # W5 tops out in dimension 5, so neither S^2 nor the top piece is in it yet
     counts[sphere(2)] = desc.l
-    counts[summand(case.top, 6, 0, r)] = 1
-    if case.absorbs is not None:
-        kind, dim = case.absorbs
-        cx = summand(kind, dim, 2**r, 0) if kind == MOORE else summand(kind, dim, 0, r)
-        counts[cx] = counts.get(cx, 0) - 1
+    counts[desc.top_piece] = 1
+    absorbed = desc.top_piece.section(5)
+    if absorbed is not None:
+        counts[absorbed] -= 1
     return counts
 
 
@@ -270,9 +261,11 @@ def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:
 
     The suspension of M splits as a wedge of l two-spheres with a
     five-connected-in-homology remainder; the sections truncate that
-    remainder at homological degree k.
+    remainder, W5, at homological degree k one summand at a time.
     """
-    return wedge_of(_section_counts(desc, k))
+    if k not in (3, 4, 5):
+        raise DecompositionError("homology sections are defined for k in 3..5")
+    return desc.w5 if k == 5 else desc.w5.section(k)
 
 
 # -- resolution of raw attaching data -----------------------------------------

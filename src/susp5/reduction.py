@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import compress
 
 
@@ -96,28 +96,16 @@ def _h_state(h: HMatrix, cols: int) -> int:
     return _join_rows(_pack_rows(h, cols), cols)
 
 
-class _Memo(dict):
-    """make(key) for each key, computed on first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _h_unpacker(shape: tuple[int, tuple[int, ...], int]):
     """state -> the HMatrix of shape packed in it.  Orbit members share
     rows, so each distinct row value becomes a tuple once per unpacker."""
     d, exps, cols = shape
     full = (1 << cols) - 1
     offsets = [i * cols for i in range(d + len(exps))]
-    bits = _Memo(lambda m: tuple((m >> c) & 1 for c in range(cols)))
+    bits = cache(lambda m: tuple((m >> c) & 1 for c in range(cols)))
 
     def unpack(state: int) -> HMatrix:
-        rows = [bits[(state >> o) & full] for o in offsets]
+        rows = [bits((state >> o) & full) for o in offsets]
         return HMatrix(tuple(rows[:d]), tuple(rows[d:]), exps)
 
     return unpack
@@ -448,13 +436,13 @@ def _phi_unpacker(phi: PhiVector):
         bits = tuple((m >> i) & 1 for i in range(base))
         return bits[:a], bits[a : a + b], bits[a + b :]
 
-    xyw = _Memo(split)
-    slots = _Memo(lambda m: tuple((m >> (2 * j)) & 3 for j in range(u)))
+    xyw = cache(split)
+    slots = cache(lambda m: tuple((m >> (2 * j)) & 3 for j in range(u)))
     R, S = phi.moore_exponents, phi.consumed_exponents
 
     def unpack(state: int) -> PhiVector:
-        x, y, w = xyw[state & low]
-        return PhiVector(x, y, slots[state >> base], R, w, S)
+        x, y, w = xyw(state & low)
+        return PhiVector(x, y, slots(state >> base), R, w, S)
 
     return unpack
 

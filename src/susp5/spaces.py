@@ -41,7 +41,8 @@ class _Variant:
     lowest allowed top dimension; param names the torsion parameter
     ('order', 'r' or None); depths give each cell's distance below the top
     cell, bottom cell first; weight is the block weight; template renders
-    the summand from n, order and r.
+    the summand from n, order and r; below is the variant left without the
+    top cell, or None where that is not one piece (a point, a lone cell).
     """
 
     rank: int
@@ -50,17 +51,18 @@ class _Variant:
     depths: tuple[int, ...]
     weight: int
     template: str
+    below: str | None
 
 
 _VARIANTS = {
-    SPHERE: _Variant(0, 1, None, (0,), 1, "S^{n}"),
-    MOORE: _Variant(1, 2, "order", (1, 0), 1, "P^{n}(Z/{order})"),
-    CHANG_ETA: _Variant(2, 5, None, (2, 0), 2, "C^{n}_eta"),
-    CHANG_R: _Variant(3, 5, "r", (2, 1, 0), 2, "C^{n}_{{r={r}}}"),
-    MOORE_ETA_LIFT: _Variant(4, 6, "r", (3, 2, 0), 2, "A^{n}(eta~_{r})"),
-    CHANG_IP_ETA_LIFT: _Variant(5, 6, "r", (3, 2, 1, 0), 3, "A^{n}(i_P eta~_{r})"),
-    SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), 2, "A^{n}(eta^2)"),
-    MOORE_ETA_SQ: _Variant(7, 6, "r", (3, 2, 0), 2, "A^{n}(2^{r} eta^2)"),
+    SPHERE: _Variant(0, 1, None, (0,), 1, "S^{n}", None),
+    MOORE: _Variant(1, 2, "order", (1, 0), 1, "P^{n}(Z/{order})", None),
+    CHANG_ETA: _Variant(2, 5, None, (2, 0), 2, "C^{n}_eta", SPHERE),
+    CHANG_R: _Variant(3, 5, "r", (2, 1, 0), 2, "C^{n}_{{r={r}}}", MOORE),
+    MOORE_ETA_LIFT: _Variant(4, 6, "r", (3, 2, 0), 2, "A^{n}(eta~_{r})", MOORE),
+    CHANG_IP_ETA_LIFT: _Variant(5, 6, "r", (3, 2, 1, 0), 3, "A^{n}(i_P eta~_{r})", CHANG_R),
+    SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), 2, "A^{n}(eta^2)", SPHERE),
+    MOORE_ETA_SQ: _Variant(7, 6, "r", (3, 2, 0), 2, "A^{n}(2^{r} eta^2)", MOORE),
 }
 
 _Z = FgAbGroup.free(1)
@@ -140,6 +142,18 @@ class ElementaryComplex:
     def suspend(self) -> "ElementaryComplex":
         """Suspension: same variant, every cell shifted up one dimension."""
         return summand(self.kind, self.dim + 1, self.order, self.r)
+
+    def section(self, k: int) -> "ElementaryComplex | None":
+        """The homology section at degree k: the summand if its homology
+        stops at degree k, else the section of what is left without the top
+        cell (None if that is no variant; a bottom Moore piece has order 2^r)."""
+        if self._homology[-1][0] <= k:
+            return self
+        v = _VARIANTS[self.kind]
+        if v.below is None:
+            return None
+        order, r = (2**self.r, 0) if v.below == MOORE else (0, self.r)
+        return summand(v.below, self.dim - v.depths[-2], order, r).section(k)
 
     def weight(self) -> int:
         """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
@@ -256,6 +270,15 @@ class Wedge:
     def suspend(self) -> "Wedge":
         """Suspend one summand per run; suspension keeps the canonical order."""
         return Wedge(tuple((cx.suspend(), n) for cx, n in self.runs))
+
+    def section(self, k: int) -> "Wedge":
+        """The homology section at degree k: one summand section per run."""
+        counts = {}
+        for cx, n in self.runs:
+            part = cx.section(k)
+            counts[part] = counts.get(part, 0) + n
+        counts.pop(None, None)
+        return wedge_of(counts)
 
     def weight(self) -> int:
         return sum(cx.weight() * n for cx, n in self.runs)

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -806,6 +807,26 @@ def test_one_report_builds_the_suspension_wedge_once(monkeypatch, text, mode):
     monkeypatch.setattr(decompose, "_single_counts", counted)
     build_report(parse_descriptor_text(text), mode=mode)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, mode", [(FULL, "single"), (THREE_PRIMARY_ETA, "double")], ids=["single", "double"]
+)
+def test_one_report_builds_w5_once(monkeypatch, text, mode):
+    """The suspension wedge and the three homology sections share one W5."""
+    calls = []
+    build = decompose.ManifoldDescriptor.w5.func
+
+    def counted(desc):
+        calls.append(desc)
+        return build(desc)
+
+    w5 = cached_property(counted)
+    w5.__set_name__(decompose.ManifoldDescriptor, "w5")
+    monkeypatch.setattr(decompose.ManifoldDescriptor, "w5", w5)
+    report = build_report(parse_descriptor_text(text), mode=mode)
+    assert len(calls) == 1
+    assert report["sections"]["w5"] == calls[0].w5.render()
 
 
 def test_reports_build_no_summand_list(monkeypatch):

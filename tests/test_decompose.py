@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    REFERENCE_ABSORBS,
     random_descriptor,
     reference_section,
     reference_single_parts,
@@ -27,7 +28,7 @@ from susp5.decompose import (
     suspension_decomposition,
 )
 from susp5.reduction import AttachCase, AttachingDataError, HMatrix
-from susp5.spaces import wedge
+from susp5.spaces import chang_r, moore, sphere, summand, wedge
 
 Z0 = FgAbGroup.trivial()
 
@@ -265,6 +266,25 @@ def test_count_tables_match_the_reference_lists():
         assert double_suspension_decomposition(d0) == wedge(*(p.suspend() for p in single)), d0
         for k in (3, 4, 5):
             assert homology_section(d0, k) == wedge(*reference_section(d0, k)), (d0, k)
+
+
+# REFERENCE_ABSORBS's codes as summands of the case's exponent r.
+_ABSORBED = {
+    None: lambda r: None,
+    "S^3": lambda r: sphere(3),
+    "S^4": lambda r: sphere(4),
+    "moore": lambda r: moore(4, 2**r)[0],
+    "chang": lambda r: chang_r(5, r),
+}
+
+
+def test_a_top_piece_absorbs_its_section_at_degree_five():
+    """Each case's top piece, at every exponent, has as its section at
+    degree 5 the W5 summand the reference lists take out for it."""
+    for kind, case in CASES.items():
+        for r in (1, 2, 3) if case.index is not None else (0,):
+            top = summand(case.top, 6, 0, r)
+            assert top.section(5) == _ABSORBED[REFERENCE_ABSORBS[kind]](r), (kind, r)
 
 
 def test_validation_errors():

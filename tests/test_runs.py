@@ -83,6 +83,33 @@ def test_wedge_reads_agree_with_the_per_summand_loop(seed):
     assert w.top_dim() == max(cx.dim for cx in parts)
 
 
+def _truncated(cx, k):
+    """The reduced homology of cx in degrees up to k; of None, nothing."""
+    homology = cx.reduced_homology() if cx is not None else {}
+    return {deg: grp for deg, grp in homology.items() if deg <= k}
+
+
+def test_a_summand_section_keeps_its_homology_up_to_degree_k():
+    for cx in CANDIDATES:
+        for k in range(cx.dim + 1):
+            part = cx.section(k)
+            assert _truncated(part, k) == _truncated(cx, k), (cx, k, part)
+            if part is not None:
+                assert part.cells() == cx.cells()[: len(part.cells())], (cx, k, part)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_wedge_section_agrees_with_the_per_summand_loop(seed):
+    parts = _random_parts(random.Random(seed), CANDIDATES)
+    w = wedge(*parts)
+    for k in range(w.top_dim() + 1):
+        sections = [cx.section(k) for cx in parts]
+        assert w.section(k) == wedge(*(part for part in sections if part is not None))
+        assert w.section(k).homology() == {
+            deg: grp for deg, grp in w.homology().items() if deg <= k
+        }
+
+
 def test_equal_summands_must_be_adjacent():
     a, b = ElementaryComplex("sphere", 2), ElementaryComplex("sphere", 3)
     assert wedge(a, a, b).runs == ((a, 2), (b, 1))
