@@ -305,12 +305,8 @@ class FgAbGroup:
         return _canonical(rank, ())
 
     @classmethod
-    @functools.lru_cache(maxsize=4096)
     def cyclic(cls, k: int) -> "FgAbGroup":
-        """Z/k for k >= 1 (k == 0 means Z, matching presentation conventions).
-
-        Memoised: the summand tables and Moore summands ask for the same few
-        cyclic groups in every report, and a group is immutable."""
+        """Z/k for k >= 1 (k == 0 means Z, matching presentation conventions)."""
         return cls.from_orders([k])
 
     @classmethod
@@ -352,12 +348,8 @@ class FgAbGroup:
     )
 
     @classmethod
-    @functools.lru_cache(maxsize=4096)
     def from_string(cls, text: str) -> "FgAbGroup":
         """Parse group literals like '0', 'Z', 'Z^2 + Z/4 + Z/3', 'Z/2^3'.
-
-        Memoised: a survey gives the same few literals in file after file.
-        A bad literal raises on every call, since errors are not cached.
 
         >>> FgAbGroup.from_string("Z^2 + Z/2^3") == FgAbGroup(2, ((2, 3),))
         True

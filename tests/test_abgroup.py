@@ -328,4 +328,3 @@ class TestInterning:
         from susp5.abgroup import _canonical
 
         assert _canonical.cache_info().maxsize is not None
-        assert FgAbGroup.from_string.cache_info().maxsize is not None

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -136,6 +137,23 @@ def _readme_example() -> str:
     text = README.read_text(encoding="utf-8")
     start = text.index("# example.txt")
     return text[start : text.index("```", start)]
+
+
+def test_readme_lists_every_cli_flag():
+    """The bullets of README's "Useful flags" list name exactly the options
+    of the argument parser, so the docs neither keep a removed flag nor miss
+    a new one."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Useful flags:")
+    flags = text[start : text.index("Exit status", start)]
+    listed = set(re.findall(r"^\* `(--[a-z-]+)", flags, re.M))
+    options = {
+        opt
+        for action in cli.make_arg_parser()._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert listed == options
 
 
 def test_chain_level_file_is_reduced_once(monkeypatch):
@@ -785,14 +803,6 @@ def test_reports_share_no_mutable_state():
     assert build_report(desc) == kept
 
 
-def test_check_none_skips_checks(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(*_FAULTS["complex_k_balance"])
-    p = tmp_path / "m.txt"
-    p.write_text(MINIMAL)
-    assert main([str(p), "--format", "structured", "--check", "none"]) == 0
-    assert json.loads(capsys.readouterr().out)["checks"] == {}
-
-
 @pytest.mark.parametrize(
     "text, mode", [(FULL, "single"), (THREE_PRIMARY_ETA, "double")], ids=["single", "double"]
 )
@@ -914,25 +924,6 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "S^2 v S^3 v S^4 v S^5 v S^6" in proc.stdout
-
-
-@pytest.mark.parametrize("flags", [[], ["--full"]], ids=["summary", "full"])
-def test_demo_script_runs_clean(flags):
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(susp5.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "demo_decompositions.py"), *flags],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    if flags:
-        assert proc.stdout.count("== ") == 6 and "checks:" in proc.stdout
-        assert "fail" not in proc.stdout
-    else:
-        assert proc.stdout.splitlines()[-1] == "checks: all ok"
 
 
 # A complex K-theory table that is wrong on spheres; the balance check
