@@ -372,8 +372,8 @@ def build_report(desc, mode="single"):
     "fail", but the cohomotopy crosscheck is skipped when the single
     suspension does not split.  In single mode a first homology with
     three-torsion is an error; in double mode the single suspension is
-    simply reported as not split and the double suspension is built
-    directly.
+    simply reported as not split.  The double suspension is built the same
+    way in both modes, and the homology and weight checks read it.
     """
     try:
         single, note = suspension_decomposition(desc), {}
@@ -381,7 +381,7 @@ def build_report(desc, mode="single"):
         if mode == "single":
             raise
         single, note = None, {"single_suspension_note": str(exc)}
-    double = single.suspend() if single is not None else double_suspension_decomposition(desc)
+    double = double_suspension_decomposition(desc)
     hm = manifold_homology(desc)
 
     # trace name -> computation; a table out of balance has no trace.  A
@@ -397,13 +397,12 @@ def build_report(desc, mode="single"):
     if single is not None:
         comps["pi4_sigma"] = pi4_sigma_crosscheck(single)
 
-    # the wedge's reduced homology is M's, shifted up once (single) or twice (double)
-    w, shift = (single, 1) if single is not None else (double, 2)
+    # the double wedge's reduced homology is M's, shifted up twice
     h = desc.h1_torsion.num_torsion_summands()
     t = desc.h2_torsion.num_torsion_summands()
     passed = {
-        "homology_shift": w.homology() == {i + shift: hm[i] for i in range(1, 6)},
-        "weight_count": w.weight() == 2 * desc.l + 2 * desc.d + 2 * h + t + 1,
+        "homology_shift": double.homology() == {i + 2: hm[i] for i in range(1, 6)},
+        "weight_count": double.weight() == 2 * desc.l + 2 * desc.d + 2 * h + t + 1,
         "complex_k_balance": "k" in comps,
         "real_k_balance": "ko" in comps,
         "cohomotopy_crosscheck": None if single is None else comps["pi4_sigma"].group == p3,

@@ -200,6 +200,21 @@ class ManifoldDescriptor:
         })
         return wedge_of(counts)
 
+    @cached_property
+    def suspension_wedge(self) -> Wedge:
+        """The count-table wedge of the suspension: l two-spheres, W5 and the
+        top piece, less the W5 summand it absorbs (its section at degree 5);
+        built once.  With three-primary H this wedge is not the suspension
+        of M, but its suspension is still the double suspension."""
+        counts = dict(self.w5.runs)
+        # W5 tops out in dimension 5, so neither S^2 nor the top piece is in it yet
+        counts[sphere(2)] = self.l
+        counts[self.top_piece] = 1
+        absorbed = self.top_piece.section(5)
+        if absorbed is not None:
+            counts[absorbed] -= 1
+        return wedge_of(counts)
+
     def remaining_torsion(self, extra: int | None = None) -> FgAbGroup:
         """h2 torsion with the consumed summands (and optionally one more
         two-primary summand) removed.  Two-primary summands come first in
@@ -224,19 +239,6 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
     }
 
 
-def _single_counts(desc: ManifoldDescriptor) -> dict:
-    """The summands of the suspension wedge: l two-spheres, W5 and the top
-    piece, less the W5 summand it absorbs: its section at degree 5."""
-    counts = dict(desc.w5.runs)
-    # W5 tops out in dimension 5, so neither S^2 nor the top piece is in it yet
-    counts[sphere(2)] = desc.l
-    counts[desc.top_piece] = 1
-    absorbed = desc.top_piece.section(5)
-    if absorbed is not None:
-        counts[absorbed] -= 1
-    return counts
-
-
 def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
     """The wedge decomposition of the suspension of M.
 
@@ -248,12 +250,13 @@ def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
         raise DecompositionError(
             "three-primary classes in h1 obstruct the single-suspension splitting"
         )
-    return wedge_of(_single_counts(desc))
+    return desc.suspension_wedge
 
 
 def double_suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
-    """The wedge decomposition of the double suspension of M."""
-    return wedge_of(_single_counts(desc)).suspend()
+    """The wedge decomposition of the double suspension of M: the suspension
+    wedge, suspended once more; it splits for every descriptor."""
+    return desc.suspension_wedge.suspend()
 
 
 def homology_section(desc: ManifoldDescriptor, k: int) -> Wedge:

@@ -283,9 +283,6 @@ class Wedge:
     def weight(self) -> int:
         return sum(cx.weight() * n for cx, n in self.runs)
 
-    def top_dim(self) -> int:
-        return self.runs[-1][0].dim if self.runs else 0
-
     def render(self) -> str:
         if not self.runs:
             return "pt"

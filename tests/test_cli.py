@@ -32,7 +32,7 @@ from susp5.cli import (
     run,
 )
 from susp5.reduction import AttachCase
-from susp5.spaces import ElementaryComplex
+from susp5.spaces import ElementaryComplex, Wedge
 
 MINIMAL = "l = 1\nd = 1\nspin = true\n"
 
@@ -770,6 +770,23 @@ def test_every_check_can_fail_end_to_end(tmp_path, monkeypatch, capsys, check):
     assert set(report["traces"]) == {"k", "ko", "pi4_sigma"} - {_TRACE_OF.get(check)}
 
 
+def test_a_suspension_that_drops_its_top_fails_in_single_mode(monkeypatch, capsys):
+    """The homology and weight checks read the double suspension the report
+    prints, in single mode too: a Wedge.suspend that drops its last run, the
+    top piece, fails both on every sample descriptor."""
+    suspend = Wedge.suspend
+    monkeypatch.setattr(Wedge, "suspend", lambda w: Wedge(suspend(w).runs[:-1]))
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(map(str, (root / "scripts" / "descriptors").glob("*.txt")))
+    assert len(paths) > 1
+    assert main([*paths, "--mode", "single", "--format", "structured"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["source"] for r in reports] == paths
+    for r in reports:
+        assert r["checks"]["homology_shift"] == "fail", r["source"]
+        assert r["checks"]["weight_count"] == "fail", r["source"]
+
+
 def test_planted_table_faults_get_through_warm_memos(monkeypatch):
     """The contribution memo is keyed by the table a report looks up, so a
     replaced table fails its check after the real one has filled the memo,
@@ -803,40 +820,31 @@ def test_reports_share_no_mutable_state():
     assert build_report(desc) == kept
 
 
+@pytest.mark.parametrize("prop", ["w5", "suspension_wedge"])
 @pytest.mark.parametrize(
     "text, mode", [(FULL, "single"), (THREE_PRIMARY_ETA, "double")], ids=["single", "double"]
 )
-def test_one_report_builds_the_suspension_wedge_once(monkeypatch, text, mode):
+def test_one_report_builds_each_cached_wedge_once(monkeypatch, prop, text, mode):
+    """W5 and the suspension wedge are each built once per report: the
+    suspension wedge, its suspension and the three homology sections share
+    them, in either mode."""
     calls = []
-    single_counts = decompose._single_counts
-
-    def counted(desc):
-        calls.append(desc)
-        return single_counts(desc)
-
-    monkeypatch.setattr(decompose, "_single_counts", counted)
-    build_report(parse_descriptor_text(text), mode=mode)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize(
-    "text, mode", [(FULL, "single"), (THREE_PRIMARY_ETA, "double")], ids=["single", "double"]
-)
-def test_one_report_builds_w5_once(monkeypatch, text, mode):
-    """The suspension wedge and the three homology sections share one W5."""
-    calls = []
-    build = decompose.ManifoldDescriptor.w5.func
+    build = getattr(decompose.ManifoldDescriptor, prop).func
 
     def counted(desc):
         calls.append(desc)
         return build(desc)
 
-    w5 = cached_property(counted)
-    w5.__set_name__(decompose.ManifoldDescriptor, "w5")
-    monkeypatch.setattr(decompose.ManifoldDescriptor, "w5", w5)
+    cached = cached_property(counted)
+    cached.__set_name__(decompose.ManifoldDescriptor, prop)
+    monkeypatch.setattr(decompose.ManifoldDescriptor, prop, cached)
     report = build_report(parse_descriptor_text(text), mode=mode)
     assert len(calls) == 1
-    assert report["sections"]["w5"] == calls[0].w5.render()
+    built = getattr(calls[0], prop)
+    if prop == "w5":
+        assert report["sections"]["w5"] == built.render()
+    else:
+        assert report["double_suspension"] == built.suspend().render()
 
 
 def test_reports_build_no_summand_list(monkeypatch):

@@ -80,7 +80,6 @@ def test_wedge_reads_agree_with_the_per_summand_loop(seed):
     assert w.render() == " v ".join(cx.render() for cx in ordered)
     assert w.suspend() == wedge(*(cx.suspend() for cx in parts))
     assert w.weight() == sum(cx.weight() for cx in parts)
-    assert w.top_dim() == max(cx.dim for cx in parts)
 
 
 def _truncated(cx, k):
@@ -102,7 +101,7 @@ def test_a_summand_section_keeps_its_homology_up_to_degree_k():
 def test_wedge_section_agrees_with_the_per_summand_loop(seed):
     parts = _random_parts(random.Random(seed), CANDIDATES)
     w = wedge(*parts)
-    for k in range(w.top_dim() + 1):
+    for k in range(max(cx.dim for cx in parts) + 1):
         sections = [cx.section(k) for cx in parts]
         assert w.section(k) == wedge(*(part for part in sections if part is not None))
         assert w.section(k).homology() == {
