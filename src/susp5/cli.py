@@ -364,22 +364,19 @@ def _trace_rows(comp):
     return [list(c.row) for c, n in comp.runs for _ in range(n)]
 
 
-def build_report(desc, mode="single"):
+def build_report(desc):
     """Compute everything for one descriptor; returns a JSON-ready dict.
 
     Each wedge is built once and every invariant is read off it.  Every
     report runs the five consistency checks; each verdict is "ok" or
     "fail", but the cohomotopy crosscheck is skipped when the single
-    suspension does not split.  In single mode a first homology with
-    three-torsion is an error; in double mode the single suspension is
-    simply reported as not split.  The double suspension is built the same
-    way in both modes, and the homology and weight checks read it.
+    suspension does not split.  A first homology with three-torsion blocks
+    the single splitting: the report says why it is not split and still
+    gives the double suspension, which the homology and weight checks read.
     """
     try:
         single, note = suspension_decomposition(desc), {}
     except DecompositionError as exc:
-        if mode == "single":
-            raise
         single, note = None, {"single_suspension_note": str(exc)}
     double = double_suspension_decomposition(desc)
     hm = manifold_homology(desc)
@@ -423,7 +420,6 @@ def build_report(desc, mode="single"):
             "consumed": list(desc.consumed),
             "case": _render_case(desc.case),
         },
-        "mode": mode,
         "case": {"tag": desc.case.kind, "phrase": CASES[desc.case.kind].phrase},
         "single_suspension": single.render() if single is not None else None,
         **note,
@@ -485,7 +481,6 @@ def render_human(report) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     paths: tuple[str, ...] = ()
-    mode: str = "single"
     fmt: str = "human"
     out: str | None = None
 
@@ -522,18 +517,10 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
             worst = 2
             continue
         try:
-            text = _decode(data, source)
-            desc = parse_descriptor_text(text, source=source)
-            report = build_report(desc, mode=config.mode)
+            desc = parse_descriptor_text(_decode(data, source), source=source)
+            report = build_report(desc)
         except ParseError as exc:
             print(str(exc), file=stderr)
-            worst = 2
-            continue
-        except DecompositionError as exc:
-            # single mode's one obstruction is three-primary torsion in H,
-            # which only an H line gives: the text is scanned again for it
-            _, line, col = _Parser(text, source).scalars["H"]
-            print(ParseError("consistency", str(exc), source, line, col), file=stderr)
             worst = 2
             continue
         if "fail" in report["checks"].values():
@@ -581,7 +568,6 @@ def make_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "paths", nargs="*", help="descriptor files (standard input when omitted)"
     )
-    ap.add_argument("--mode", choices=("single", "double"), default="single")
     ap.add_argument("--format", dest="fmt", choices=("human", "structured"), default="human")
     ap.add_argument("--out", default=None, help="write the report here instead of stdout")
     return ap
@@ -589,13 +575,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = make_arg_parser().parse_args(argv)
-    config = RunConfig(
-        paths=tuple(ns.paths),
-        mode=ns.mode,
-        fmt=ns.fmt,
-        out=ns.out,
-    )
-    return run(config)
+    return run(RunConfig(paths=tuple(ns.paths), fmt=ns.fmt, out=ns.out))
 
 
 if __name__ == "__main__":

@@ -475,18 +475,3 @@ def expand(runs) -> list:
     """One entry per summand: (x, n) runs repeated by their multiplicity."""
     return [x for x, n in runs for _ in range(n)]
 
-
-# -- sample inputs -------------------------------------------------------------
-
-# Three-primary H: the single suspension does not split, so a double-mode
-# report builds the double suspension directly.  Kept out of
-# scripts/descriptors, whose files all run in single mode.
-THREE_PRIMARY_ETA = """\
-l = 2
-d = 1
-H = Z/3 + Z/5
-T = Z/4
-spin = false
-smooth = true
-case = eta
-"""

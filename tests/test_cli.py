@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susp5
-from helpers import THREE_PRIMARY_ETA, random_descriptor
+from helpers import random_descriptor
 from susp5 import cli, decompose, invariants, reduction
 from susp5.abgroup import FgAbGroup
 from susp5.cli import (
@@ -35,6 +35,11 @@ from susp5.reduction import AttachCase
 from susp5.spaces import ElementaryComplex, Wedge
 
 MINIMAL = "l = 1\nd = 1\nspin = true\n"
+
+# three-primary H, so the single suspension does not split
+THREE_PRIMARY_ETA = (Path(__file__).parent / "golden" / "three_primary_eta.txt").read_text(
+    encoding="utf-8"
+)
 
 FULL = """
 # a lens-like example
@@ -707,39 +712,32 @@ def test_missing_file_exit(tmp_path):
             assert json.loads(line)["source"] == str(good)
 
 
-def test_three_torsion_single_vs_double_mode(tmp_path):
+def test_three_torsion_is_reported_not_split(tmp_path):
+    """Three-primary H blocks the single splitting of a valid manifold: the
+    report says why, and still gives the double suspension, as one file or
+    in a batch."""
     text = "l = 1\nd = 1\nH = Z/3\nspin = true\n"
-    err = io.StringIO()
-    assert run(RunConfig(), stdin=io.StringIO(text), stdout=io.StringIO(), stderr=err) == 2
-    assert "three-primary" in err.getvalue()
-    # located at the H value, as a file or in a batch
-    p = tmp_path / "h3.txt"
-    p.write_text(text)
-    located = (
-        f"{p}:3:5: consistency error: three-primary classes in h1 obstruct "
-        "the single-suspension splitting\n"
-    )
-    for paths in ((str(p),), (str(p), str(p))):
-        err = io.StringIO()
-        assert run(RunConfig(paths=paths), stdout=io.StringIO(), stderr=err) == 2
-        assert err.getvalue() == located * len(paths)
-
+    note = "three-primary classes in h1 obstruct the single-suspension splitting"
     buf = io.StringIO()
-    assert (
-        run(RunConfig(mode="double", fmt="structured"), stdin=io.StringIO(text), stdout=buf)
-        == 0
-    )
+    assert run(RunConfig(fmt="structured"), stdin=io.StringIO(text), stdout=buf) == 0
     report = json.loads(buf.getvalue())
     assert report["single_suspension"] is None
+    assert report["single_suspension_note"] == note
     assert "P^4(Z/3)" in report["double_suspension"]
     assert report["checks"]["cohomotopy_crosscheck"].startswith("skipped")
 
-    buf = io.StringIO()
-    assert run(RunConfig(mode="double"), stdin=io.StringIO(text), stdout=buf) == 0
-    assert (
-        "suspension:         not split (three-primary classes in h1 obstruct "
-        "the single-suspension splitting)\n"
-    ) in buf.getvalue()
+    p = tmp_path / "h3.txt"
+    p.write_text(text)
+    for paths in ((str(p),), (str(p), str(p))):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(RunConfig(paths=paths), stdout=out, stderr=err) == 0
+        assert err.getvalue() == ""
+        for line in (
+            f"suspension:         not split ({note})\n",
+            f"double suspension:  {report['double_suspension']}\n",
+            "  cohomotopy_crosscheck: skipped (single suspension not split)\n",
+        ):
+            assert out.getvalue().count(line) == len(paths), line
 
 
 # One way to break the recomputation behind each consistency check.
@@ -770,16 +768,16 @@ def test_every_check_can_fail_end_to_end(tmp_path, monkeypatch, capsys, check):
     assert set(report["traces"]) == {"k", "ko", "pi4_sigma"} - {_TRACE_OF.get(check)}
 
 
-def test_a_suspension_that_drops_its_top_fails_in_single_mode(monkeypatch, capsys):
+def test_a_suspension_that_drops_its_top_fails_both_checks(monkeypatch, capsys):
     """The homology and weight checks read the double suspension the report
-    prints, in single mode too: a Wedge.suspend that drops its last run, the
-    top piece, fails both on every sample descriptor."""
+    prints: a Wedge.suspend that drops its last run, the top piece, fails
+    both on every sample descriptor."""
     suspend = Wedge.suspend
     monkeypatch.setattr(Wedge, "suspend", lambda w: Wedge(suspend(w).runs[:-1]))
     root = Path(__file__).resolve().parents[1]
     paths = sorted(map(str, (root / "scripts" / "descriptors").glob("*.txt")))
     assert len(paths) > 1
-    assert main([*paths, "--mode", "single", "--format", "structured"]) == 1
+    assert main([*paths, "--format", "structured"]) == 1
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["source"] for r in reports] == paths
     for r in reports:
@@ -821,13 +819,11 @@ def test_reports_share_no_mutable_state():
 
 
 @pytest.mark.parametrize("prop", ["w5", "suspension_wedge"])
-@pytest.mark.parametrize(
-    "text, mode", [(FULL, "single"), (THREE_PRIMARY_ETA, "double")], ids=["single", "double"]
-)
-def test_one_report_builds_each_cached_wedge_once(monkeypatch, prop, text, mode):
+@pytest.mark.parametrize("text", [FULL, THREE_PRIMARY_ETA], ids=["split", "not_split"])
+def test_one_report_builds_each_cached_wedge_once(monkeypatch, prop, text):
     """W5 and the suspension wedge are each built once per report: the
     suspension wedge, its suspension and the three homology sections share
-    them, in either mode."""
+    them, whether or not the single suspension splits."""
     calls = []
     build = getattr(decompose.ManifoldDescriptor, prop).func
 
@@ -838,7 +834,7 @@ def test_one_report_builds_each_cached_wedge_once(monkeypatch, prop, text, mode)
     cached = cached_property(counted)
     cached.__set_name__(decompose.ManifoldDescriptor, prop)
     monkeypatch.setattr(decompose.ManifoldDescriptor, prop, cached)
-    report = build_report(parse_descriptor_text(text), mode=mode)
+    report = build_report(parse_descriptor_text(text))
     assert len(calls) == 1
     built = getattr(calls[0], prop)
     if prop == "w5":
@@ -860,10 +856,8 @@ def test_reports_build_no_summand_list(monkeypatch):
     root = Path(__file__).resolve().parents[1]
     texts = [p.read_text() for p in sorted((root / "scripts" / "descriptors").glob("*.txt"))]
     assert texts
-    for text in texts:
-        for mode in ("single", "double"):
-            build_report(parse_descriptor_text(text), mode=mode)
-    build_report(parse_descriptor_text(THREE_PRIMARY_ETA), mode="double")
+    for text in [*texts, THREE_PRIMARY_ETA]:
+        build_report(parse_descriptor_text(text))
 
 
 def test_a_second_pass_builds_no_summand(monkeypatch):
@@ -878,8 +872,7 @@ def test_a_second_pass_builds_no_summand(monkeypatch):
 
     def one_pass():
         for desc in descs:
-            for mode in ("single", "double"):
-                build_report(desc, mode=mode)
+            build_report(desc)
 
     one_pass()
     built = []
@@ -894,12 +887,15 @@ def test_a_second_pass_builds_no_summand(monkeypatch):
     assert built == []
 
 
-def test_out_file(tmp_path):
+def test_out_file(tmp_path, capsys):
     src = tmp_path / "m.txt"
     src.write_text(MINIMAL)
     dst = tmp_path / "report.json"
-    assert main([str(src), "--format", "structured", "--out", str(dst)]) == 0
-    assert json.loads(dst.read_text())["mode"] == "single"
+    args = [str(src), "--format", "structured"]
+    assert main([*args, "--out", str(dst)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    assert dst.read_text() == capsys.readouterr().out
 
 
 def test_unwritable_out_path_exit(tmp_path):
@@ -965,15 +961,14 @@ def test_k_balance_fault_detected_with_and_without_O(flags, debug):
     assert proc.stdout.split() == [str(debug), "fail"]
 
 
-# Runs the CLI over the sample descriptors in both modes and prints every
-# susp5 module the runs imported.
+# Runs the CLI over the sample descriptors and prints every susp5 module
+# the run imported.
 _IMPORTED_BY_CLI = """
 import contextlib, io, sys
 from susp5.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
-    for mode in ("single", "double"):
-        main(["--mode", mode, "--format", "structured", *sys.argv[1:]])
+    main(["--format", "structured", *sys.argv[1:]])
 print(" ".join(sorted(m for m in sys.modules if m.startswith("susp5."))))
 """
 

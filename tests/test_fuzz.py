@@ -1,15 +1,19 @@
 """Every input ends in a report or a located ParseError.
 
 Inputs are arbitrary text and line or token mutations of the sample
-descriptors in scripts/descriptors and of tests/golden/large_chain.txt.  A
-file that parses must render back to invariant-route text that parses
-equal (so a matrix-route file agrees with its invariant route), and must
-give a report in both modes (in single mode, three-primary torsion in H may
-instead be a DecompositionError); any other file must be a ParseError at a
-line of the file.  Each input is handled in under a second of wall time.
+descriptors in scripts/descriptors and of the files tests/golden/*.txt
+(one of them with three-primary H).  Each runs through cli.run as standard
+input and ends one of two ways: exit 0 or 1 with one report, whose single
+suspension is null exactly when H has three-torsion; or exit 2 with one
+`<stdin>:line:col:` line on stderr and nothing on stdout.  A file that
+gives a report must also render back to invariant-route text that parses
+equal (so a matrix-route file agrees with its invariant route).  Each input
+is handled in under a second of wall time.
 """
 from __future__ import annotations
 
+import io
+import json
 import re
 import time
 from pathlib import Path
@@ -17,14 +21,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from susp5.cli import ParseError, build_report, parse_descriptor_text, render_descriptor
-from susp5.decompose import DecompositionError
+from susp5.cli import RunConfig, parse_descriptor_text, render_descriptor, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [
     p.read_text(encoding="utf-8")
     for p in [*sorted((ROOT / "scripts" / "descriptors").glob("*.txt")),
-              ROOT / "tests" / "golden" / "large_chain.txt"]
+              *sorted((ROOT / "tests" / "golden").glob("*.txt"))]
 ]
 # every token of the seeds, plus values at and past the edges of their ranges
 TOKENS = sorted(
@@ -58,17 +61,19 @@ def mutants(draw):
 
 
 def _ends_in_a_report_or_a_located_parse_error(text: str) -> None:
-    try:
-        desc = parse_descriptor_text(text, source="fuzz.txt")
-    except ParseError as exc:
-        assert exc.line >= 1, str(exc)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(fmt="structured"), stdin=io.StringIO(text), stdout=out, stderr=err)
+    if code == 2:
+        # one line, however the message quotes the input
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
+        assert re.match(r"<stdin>:[1-9][0-9]*:[1-9][0-9]*: ", err.getvalue()), err.getvalue()
         return
+    assert code in (0, 1) and err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    assert report["double_suspension"]
+    desc = parse_descriptor_text(text)
+    assert (report["single_suspension"] is None) == desc.h1_torsion.has_3_torsion
     assert parse_descriptor_text(render_descriptor(desc)) == desc
-    assert build_report(desc, mode="double")["double_suspension"]
-    try:
-        build_report(desc, mode="single")
-    except DecompositionError:
-        assert desc.h1_torsion.has_3_torsion
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
