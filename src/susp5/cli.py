@@ -73,25 +73,32 @@ class ParseError(ValueError):
         return f"{where}: {self.kind} error: {self.message}"
 
 
-_SCALAR_KEYS = (
-    "l",
-    "d",
-    "H",
-    "T",
-    "spin",
-    "smooth",
-    "pd_mode",
-    "c1",
-    "c2",
-    "consumed",
-    "case",
-)
+# Each descriptor file key, in file order, with the key of its value in
+# the report's "input" block, which is the descriptor attribute it sets.
+_SCALAR_KEYS = {
+    "l": "l",
+    "d": "d",
+    "H": "h1_torsion",
+    "T": "h2_torsion",
+    "spin": "spin",
+    "smooth": "smooth",
+    "pd_mode": "pd_mode",
+    "c1": "c1",
+    "c2": "c2",
+    "consumed": "consumed",
+    "case": "case",
+}
 _INVARIANT_ROUTE_KEYS = ("c1", "c2", "consumed", "case")
 # Every descriptor integer lies below 2^64; l and d are at most this.
 MAX_L_D = 4096
 _CASE_RE = re.compile(f"({'|'.join(CASES)})" + r"(?:\(([0-9]+)\))?")
 _MOORE_ROW_RE = re.compile(r"moore\s+r=([0-9]+)\s*=\s*(.*)")
 _CONSUMED_RE = re.compile(r"\[\s*((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\]")
+
+
+def _position(text: str) -> tuple[int, int]:
+    """The line and column just past the end of text."""
+    return text.count("\n") + 1, len(text.rpartition("\n")[2]) + 1
 
 
 class _Parser:
@@ -105,7 +112,7 @@ class _Parser:
         self.phi_line = 0  # the [phi] header, 0 without one
         # where the file ends: after its last newline, or at the end of an
         # unterminated last line
-        self.end = (text.count("\n") + 1, len(text.rpartition("\n")[2]) + 1)
+        self.end = _position(text)
         self._scan(text)
 
     def error(self, kind: str, msg: str, line: int = 0, col: int = 0) -> NoReturn:
@@ -333,28 +340,27 @@ def parse_descriptor_text(text: str, source: str = "<input>") -> ManifoldDescrip
     return _Parser(text, source).build()
 
 
-def _render_case(case: AttachCase) -> str:
-    if case.index is None:
-        return case.kind
-    return f"{case.kind}({case.index})"
+def _input(desc: ManifoldDescriptor) -> dict:
+    """The report's "input" block: each descriptor value as JSON data."""
+    out = {key: getattr(desc, key) for key in _SCALAR_KEYS.values()}
+    case = desc.case
+    out.update(
+        h1_torsion=desc.h1_torsion.render(),
+        h2_torsion=desc.h2_torsion.render(),
+        consumed=list(desc.consumed),
+        case=case.kind if case.index is None else f"{case.kind}({case.index})",
+    )
+    return out
 
 
 def render_descriptor(desc: ManifoldDescriptor) -> str:
     """Canonical invariant-route text for a descriptor; parses back equal."""
-    lines = [
-        f"l = {desc.l}",
-        f"d = {desc.d}",
-        f"H = {desc.h1_torsion.render()}",
-        f"T = {desc.h2_torsion.render()}",
-        f"spin = {str(desc.spin).lower()}",
-        f"smooth = {str(desc.smooth).lower()}",
-        f"pd_mode = {str(desc.pd_mode).lower()}",
-        f"c1 = {desc.c1}",
-        f"c2 = {desc.c2}",
-        f"consumed = [{', '.join(str(j) for j in desc.consumed)}]",
-        f"case = {_render_case(desc.case)}",
-    ]
-    return "\n".join(lines) + "\n"
+    inp = _input(desc)
+    text = ""
+    for key, name in _SCALAR_KEYS.items():
+        value = inp[name]
+        text += f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+    return text
 
 
 # -- reports -------------------------------------------------------------------
@@ -407,19 +413,7 @@ def build_report(desc):
     verdict = {True: "ok", False: "fail", None: "skipped (single suspension not split)"}
 
     return {
-        "input": {
-            "l": desc.l,
-            "d": desc.d,
-            "h1_torsion": desc.h1_torsion.render(),
-            "h2_torsion": desc.h2_torsion.render(),
-            "spin": desc.spin,
-            "smooth": desc.smooth,
-            "pd_mode": desc.pd_mode,
-            "c1": desc.c1,
-            "c2": desc.c2,
-            "consumed": list(desc.consumed),
-            "case": _render_case(desc.case),
-        },
+        "input": _input(desc),
         "case": {"tag": desc.case.kind, "phrase": CASES[desc.case.kind].phrase},
         "single_suspension": single.render() if single is not None else None,
         **note,
@@ -493,8 +487,7 @@ def _decode(data: bytes | str, source: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8")
-        line, col = head.count("\n") + 1, len(head.rpartition("\n")[2]) + 1
+        line, col = _position(data[: exc.start].decode("utf-8"))
         msg = f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
         raise ParseError("syntax", msg, source, line, col) from None
 

@@ -69,8 +69,8 @@ class _Case:
     index says which two-primary summands of T case.index counts
     ('unconsumed', 'consumed', or None: the case takes no index); spin is
     the spin flag the case needs and smooth whether smooth input admits it;
-    top is the variant of the top piece of the suspension wedge, its
-    parameter the case's exponent r; phrase describes the case.
+    top is the variant of the top piece of the suspension wedge, of order
+    2^r for the case's exponent r; phrase describes the case.
     """
 
     index: str | None
@@ -181,7 +181,8 @@ class ManifoldDescriptor:
     @cached_property
     def top_piece(self) -> ElementaryComplex:
         """The summand the top cell of the suspension lies in."""
-        return summand(CASES[self.case.kind].top, 6, 0, self.case.r or 0)
+        r = self.case.r
+        return summand(CASES[self.case.kind].top, 6, 0 if r is None else 2**r)
 
     @cached_property
     def w5(self) -> Wedge:

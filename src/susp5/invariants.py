@@ -164,15 +164,15 @@ def maps_to_s4(s: ElementaryComplex) -> tuple[FgAbGroup, bool]:
         if s.dim == 6:
             return _Z, False
     if s.kind == CHANG_R and s.dim == 5:
-        return FgAbGroup.cyclic(2 ** (s.r + 1)), False
+        return FgAbGroup.cyclic(2 * s.order), False
     if s.kind == MOORE_ETA_LIFT and s.dim == 6:
-        return (FgAbGroup.cyclic(2 ** (s.r - 1)) if s.r > 1 else _0), False
+        return FgAbGroup.cyclic(s.order // 2), False
     if s.kind == CHANG_IP_ETA_LIFT and s.dim == 6:
-        return FgAbGroup.cyclic(2**s.r), False
+        return FgAbGroup.cyclic(s.order), False
     if s.kind == SPHERE_ETA_SQ and s.dim == 6:
         return _0, False
     if s.kind == MOORE_ETA_SQ and s.dim == 6:
-        return FgAbGroup.cyclic(2 ** (s.r + 1)), False
+        return FgAbGroup.cyclic(2 * s.order), False
     raise UnsupportedSummand(f"no maps-to-S^4 entry for {s.render()}")
 
 

@@ -7,12 +7,14 @@ one extra top cell along a lifted Hopf map, its inclusion into a two-stage
 complex, or a squared Hopf map.
 
 Each variant is one `_Variant` record; cells, homology, weight and rendering
-are all read off it.  Moore spaces of composite order do not exist as single
-variants here; the factories split them into prime-power wedge summands
-immediately, which keeps wedge normal forms unique.  The factories,
-suspension and the top pieces of the decompositions go through one bounded
-memo, `summand`, so each distinct summand is built, validated and rendered
-once per process.
+are all read off it.  A summand is (kind, dim, order): order is the one
+torsion parameter, p^e for a Moore space, 2^r for a piece built on a
+2-primary Moore space, and 0 for none.  Moore spaces of composite order do
+not exist as single variants here; the factories split them into
+prime-power wedge summands immediately, which keeps wedge normal forms
+unique.  The factories, suspension and the top pieces of the decompositions
+go through one bounded memo, `summand`, so each distinct summand is built,
+validated and rendered once per process.
 """
 from __future__ import annotations
 
@@ -38,11 +40,12 @@ class _Variant:
     """What all summands of one kind share.
 
     rank orders kinds of equal top dimension in a wedge; min_dim is the
-    lowest allowed top dimension; param names the torsion parameter
-    ('order', 'r' or None); depths give each cell's distance below the top
+    lowest allowed top dimension; param says which orders the kind allows
+    (a key of _ORDERS); depths give each cell's distance below the top
     cell, bottom cell first; weight is the block weight; template renders
-    the summand from n, order and r; below is the variant left without the
-    top cell, or None where that is not one piece (a point, a lone cell).
+    the summand from n, order and r = log2(order); below is the variant left
+    without the top cell, or None where that is not one piece (a point, a
+    lone cell).
     """
 
     rank: int
@@ -54,15 +57,26 @@ class _Variant:
     below: str | None
 
 
+# The orders each kind of torsion parameter allows.
+_ORDERS = {
+    None: lambda k: k == 0,
+    "p^e": lambda k: k > 1 and len(_prime_power_factors(k)) == 1,
+    "2^r": lambda k: k > 1 and k & (k - 1) == 0,
+}
+
 _VARIANTS = {
     SPHERE: _Variant(0, 1, None, (0,), 1, "S^{n}", None),
-    MOORE: _Variant(1, 2, "order", (1, 0), 1, "P^{n}(Z/{order})", None),
+    MOORE: _Variant(1, 2, "p^e", (1, 0), 1, "P^{n}(Z/{order})", None),
     CHANG_ETA: _Variant(2, 5, None, (2, 0), 2, "C^{n}_eta", SPHERE),
-    CHANG_R: _Variant(3, 5, "r", (2, 1, 0), 2, "C^{n}_{{r={r}}}", MOORE),
-    MOORE_ETA_LIFT: _Variant(4, 6, "r", (3, 2, 0), 2, "A^{n}(eta~_{r})", MOORE),
-    CHANG_IP_ETA_LIFT: _Variant(5, 6, "r", (3, 2, 1, 0), 3, "A^{n}(i_P eta~_{r})", CHANG_R),
+    CHANG_R: _Variant(3, 5, "2^r", (2, 1, 0), 2, "C^{n}_{{r={r}}}", MOORE),
+    # P^{n-2}(2^r) with a top n-cell attached along the lifted Hopf map
+    MOORE_ETA_LIFT: _Variant(4, 6, "2^r", (3, 2, 0), 2, "A^{n}(eta~_{r})", MOORE),
+    # C^{n-1}_r with a top n-cell attached along i_P composed with the lift
+    CHANG_IP_ETA_LIFT: _Variant(5, 6, "2^r", (3, 2, 1, 0), 3, "A^{n}(i_P eta~_{r})", CHANG_R),
+    # S^{n-3} with a top n-cell attached along the squared Hopf map
     SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), 2, "A^{n}(eta^2)", SPHERE),
-    MOORE_ETA_SQ: _Variant(7, 6, "r", (3, 2, 0), 2, "A^{n}(2^{r} eta^2)", MOORE),
+    # P^{n-2}(2^r) with a top n-cell attached along i composed with eta^2
+    MOORE_ETA_SQ: _Variant(7, 6, "2^r", (3, 2, 0), 2, "A^{n}(2^{r} eta^2)", MOORE),
 }
 
 _Z = FgAbGroup.free(1)
@@ -72,9 +86,9 @@ _Z = FgAbGroup.free(1)
 class ElementaryComplex:
     """One indecomposable wedge summand.
 
-    dim is the top cell dimension; order carries the Moore-space torsion
-    order p^e and r the exponent of a 2-primary bottom Moore piece, each
-    used only where the variant calls for it.  The sort key, its hash, the
+    dim is the top cell dimension; order is the torsion of the bottom Moore
+    piece: p^e for a Moore space, 2^r for the pieces built on a 2-primary
+    one, 0 where the variant has none.  The sort key, its hash, the
     rendered text and the reduced homology are computed when the summand is
     built; the factories below build each distinct summand once per process.
     """
@@ -82,7 +96,6 @@ class ElementaryComplex:
     kind: str
     dim: int
     order: int = 0
-    r: int = 0
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _text: str = field(init=False, repr=False, compare=False)
@@ -96,24 +109,21 @@ class ElementaryComplex:
             raise ValueError(f"unknown variant {self.kind!r}")
         if self.dim < v.min_dim:
             raise ValueError(f"{self.kind} needs top dimension >= {v.min_dim}")
-        if (v.param == "order") != (self.order != 0) or (
-            self.order and len(_prime_power_factors(self.order)) != 1
-        ):
+        if not _ORDERS[v.param](self.order):
             raise ValueError(f"bad order {self.order} for {self.kind}")
-        if (v.param == "r") != (self.r != 0) or self.r < 0:
-            raise ValueError(f"bad r {self.r} for {self.kind}")
         # derived once per summand; reduced_homology explains the homology
         cells = self.cells()
         homology = dict.fromkeys(cells, _Z)
         if v.param is not None:
-            homology[cells[0]] = FgAbGroup.cyclic(self.order or 2**self.r)
+            homology[cells[0]] = FgAbGroup.cyclic(self.order)
             del homology[cells[1]]
         object.__setattr__(self, "_homology", tuple(homology.items()))
-        key = (self.dim, v.rank, self.order, self.r)
+        key = (self.dim, v.rank, self.order)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        r = self.order.bit_length() - 1
         object.__setattr__(
-            self, "_text", v.template.format(n=self.dim, order=self.order, r=self.r)
+            self, "_text", v.template.format(n=self.dim, order=self.order, r=r)
         )
 
     def __hash__(self) -> int:
@@ -132,28 +142,26 @@ class ElementaryComplex:
 
         The only nonzero cellular boundary is the torsion one: where the
         variant has a torsion parameter, the second cell is glued to the
-        bottom cell with degree order (or 2^r), so the bottom cell carries
-        Z/order (or Z/2^r) and the second nothing.  Every other cell
-        carries Z.  Computed when the summand is built; each call returns
-        a fresh dict.
+        bottom cell with degree order, so the bottom cell carries Z/order
+        and the second nothing.  Every other cell carries Z.  Computed when
+        the summand is built; each call returns a fresh dict.
         """
         return dict(self._homology)
 
     def suspend(self) -> "ElementaryComplex":
         """Suspension: same variant, every cell shifted up one dimension."""
-        return summand(self.kind, self.dim + 1, self.order, self.r)
+        return summand(self.kind, self.dim + 1, self.order)
 
     def section(self, k: int) -> "ElementaryComplex | None":
         """The homology section at degree k: the summand if its homology
         stops at degree k, else the section of what is left without the top
-        cell (None if that is no variant; a bottom Moore piece has order 2^r)."""
+        cell (None if that is no variant), which keeps the order."""
         if self._homology[-1][0] <= k:
             return self
         v = _VARIANTS[self.kind]
         if v.below is None:
             return None
-        order, r = (2**self.r, 0) if v.below == MOORE else (0, self.r)
-        return summand(v.below, self.dim - v.depths[-2], order, r).section(k)
+        return summand(v.below, self.dim - v.depths[-2], self.order).section(k)
 
     def weight(self) -> int:
         """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
@@ -172,19 +180,19 @@ class ElementaryComplex:
 
 
 @functools.lru_cache(maxsize=4096)
-def summand(kind: str, dim: int, order: int, r: int, /) -> ElementaryComplex:
-    """The one summand of key (kind, dim, order, r) in this process.
+def summand(kind: str, dim: int, order: int, /) -> ElementaryComplex:
+    """The one summand of key (kind, dim, order) in this process.
 
     Every factory, suspension and top piece goes through here, so a batch of
-    reports builds and validates each distinct summand once.  The four
+    reports builds and validates each distinct summand once.  The three
     arguments are positional and all required, so one key is one cache
     entry; an invalid key raises on every call, since errors are not cached.
     """
-    return ElementaryComplex(kind, dim, order, r)
+    return ElementaryComplex(kind, dim, order)
 
 
 def sphere(n: int) -> ElementaryComplex:
-    return summand(SPHERE, n, 0, 0)
+    return summand(SPHERE, n, 0)
 
 
 def moore(n: int, k: int) -> list[ElementaryComplex]:
@@ -198,35 +206,15 @@ def peterson(n: int, group: FgAbGroup) -> list[ElementaryComplex]:
     """Moore-space wedge with H_{n-1} equal to the given torsion group."""
     if group.free_rank:
         raise ValueError("only torsion groups have Moore-space wedges here")
-    return [summand(MOORE, n, p**e, 0) for p, e in group.torsion]
+    return [summand(MOORE, n, p**e) for p, e in group.torsion]
 
 
 def chang_eta(n: int) -> ElementaryComplex:
-    return summand(CHANG_ETA, n, 0, 0)
+    return summand(CHANG_ETA, n, 0)
 
 
 def chang_r(n: int, r: int) -> ElementaryComplex:
-    return summand(CHANG_R, n, 0, r)
-
-
-def moore_eta_lift(n: int, r: int) -> ElementaryComplex:
-    """P^{n-2}(2^r) with a top n-cell attached along the lifted Hopf map."""
-    return summand(MOORE_ETA_LIFT, n, 0, r)
-
-
-def chang_ip_eta_lift(n: int, r: int) -> ElementaryComplex:
-    """C^{n-1}_r with a top n-cell attached along i_P composed with the lift."""
-    return summand(CHANG_IP_ETA_LIFT, n, 0, r)
-
-
-def sphere_eta_sq(n: int) -> ElementaryComplex:
-    """S^{n-3} with a top n-cell attached along the squared Hopf map."""
-    return summand(SPHERE_ETA_SQ, n, 0, 0)
-
-
-def moore_eta_sq(n: int, r: int) -> ElementaryComplex:
-    """P^{n-2}(2^r) with a top n-cell attached along i composed with eta^2."""
-    return summand(MOORE_ETA_SQ, n, 0, r)
+    return summand(CHANG_R, n, 2**r)
 
 
 # -- wedges -------------------------------------------------------------------

@@ -245,7 +245,7 @@ def reference_orbit(start, moves) -> set:
 # -- cellular chain homology oracle ------------------------------------------
 
 
-def boundary_description(kind: str, dim: int, order: int = 0, r: int = 0):
+def boundary_description(kind: str, dim: int, order: int = 0):
     """Cell dimensions and nonzero cellular boundary degrees per variant.
 
     Read off the defining cofibrations: a mod-k Moore space has one boundary
@@ -260,15 +260,15 @@ def boundary_description(kind: str, dim: int, order: int = 0, r: int = 0):
     if kind == "chang_eta":
         return [n - 2, n], {}
     if kind == "chang_r":
-        return [n - 2, n - 1, n], {n - 1: 2**r}
+        return [n - 2, n - 1, n], {n - 1: order}
     if kind == "moore_eta_lift":
-        return [n - 3, n - 2, n], {n - 2: 2**r}
+        return [n - 3, n - 2, n], {n - 2: order}
     if kind == "chang_ip_eta_lift":
-        return [n - 3, n - 2, n - 1, n], {n - 2: 2**r}
+        return [n - 3, n - 2, n - 1, n], {n - 2: order}
     if kind == "sphere_eta_sq":
         return [n - 3, n], {}
     if kind == "moore_eta_sq":
-        return [n - 3, n - 2, n], {n - 2: 2**r}
+        return [n - 3, n - 2, n], {n - 2: order}
     raise ValueError(f"unknown variant {kind!r}")
 
 
@@ -298,7 +298,7 @@ def chain_homology(cells: list[int], degrees: dict[int, int]) -> dict[int, FgAbG
 
 def oracle_homology(cx) -> dict[int, FgAbGroup]:
     """Recompute reduced homology of an ElementaryComplex from its chains."""
-    cells, degrees = boundary_description(cx.kind, cx.dim, cx.order, cx.r)
+    cells, degrees = boundary_description(cx.kind, cx.dim, cx.order)
     return chain_homology(cells, degrees)
 
 
@@ -451,7 +451,8 @@ def reference_section_parts(desc, absorbs=None, j=None) -> list:
 
 def reference_single_parts(desc) -> list:
     """The summands of the suspension wedge, one entry each."""
-    top = summand(CASES[desc.case.kind].top, 6, 0, desc.case.r or 0)
+    r = desc.case.r
+    top = summand(CASES[desc.case.kind].top, 6, 0 if r is None else 2**r)
     absorbs = REFERENCE_ABSORBS[desc.case.kind]
     return [sphere(2)] * desc.l + reference_section_parts(desc, absorbs, desc.case.index) + [top]
 

@@ -400,6 +400,7 @@ def test_criterion_6_exhaustive_attachment_normal_form():
         for u_exps in combinations_with_replacement((1, 2, 3), u):
             for c_exps in combinations_with_replacement((1, 2, 3), c):
                 seen: set[PhiVector] = set()
+                labels = set()  # one (kind, r) per orbit of this shape
                 states = product(
                     product((0, 1), repeat=a),
                     product((0, 1), repeat=b),
@@ -420,6 +421,9 @@ def test_criterion_6_exhaustive_attachment_normal_form():
                             _expected_phi_case(member), member
                         kinds.add((case.kind, case.r))
                     assert len(kinds) == 1, phi
+                    # complete: no other orbit of this shape has the same label
+                    assert not kinds & labels, phi
+                    labels |= kinds
                     rep_case = reduce_phi(phi, smooth=False)
                     assert _canonical_phi(phi, rep_case) in orbit, phi
                     orbit_count += 1

@@ -30,14 +30,15 @@ from susp5.invariants import (
 )
 from susp5.reduction import AttachCase
 from susp5.spaces import (
+    CHANG_IP_ETA_LIFT,
+    MOORE_ETA_LIFT,
+    MOORE_ETA_SQ,
+    SPHERE_ETA_SQ,
     chang_eta,
-    chang_ip_eta_lift,
     chang_r,
     moore,
-    moore_eta_lift,
-    moore_eta_sq,
     sphere,
-    sphere_eta_sq,
+    summand,
 )
 
 
@@ -70,10 +71,10 @@ def test_k_table_entries():
     assert k_of_summand(chang_eta(6)) == G("Z^2")
     assert k_of_summand(chang_eta(7)) == G("0")
     assert k_of_summand(chang_r(6, 2)) == G("Z")
-    assert k_of_summand(chang_ip_eta_lift(7, 2)) == G("Z")
-    assert k_of_summand(moore_eta_lift(7, 2)) == G("0")
-    assert k_of_summand(sphere_eta_sq(7)) == G("Z")
-    assert k_of_summand(moore_eta_sq(7, 3)) == G("0")
+    assert k_of_summand(summand(CHANG_IP_ETA_LIFT, 7, 4)) == G("Z")
+    assert k_of_summand(summand(MOORE_ETA_LIFT, 7, 4)) == G("0")
+    assert k_of_summand(summand(SPHERE_ETA_SQ, 7, 0)) == G("Z")
+    assert k_of_summand(summand(MOORE_ETA_SQ, 7, 8)) == G("0")
     with pytest.raises(UnsupportedSummand):
         k_of_summand(chang_r(5, 2))
 
@@ -91,10 +92,10 @@ def test_ko_table_entries():
     assert ko_of_summand(chang_eta(6)) == G("Z + Z/2")
     assert ko_of_summand(chang_eta(7)) == G("0")
     assert ko_of_summand(chang_r(6, 3)) == G("Z + Z/2")
-    assert ko_of_summand(moore_eta_lift(7, 1)) == G("Z/2")
-    assert ko_of_summand(chang_ip_eta_lift(7, 2)) == G("Z + Z/2")
-    assert ko_of_summand(sphere_eta_sq(7)) == G("Z/2")
-    assert ko_of_summand(moore_eta_sq(7, 2)) == G("Z/2")
+    assert ko_of_summand(summand(MOORE_ETA_LIFT, 7, 2)) == G("Z/2")
+    assert ko_of_summand(summand(CHANG_IP_ETA_LIFT, 7, 4)) == G("Z + Z/2")
+    assert ko_of_summand(summand(SPHERE_ETA_SQ, 7, 0)) == G("Z/2")
+    assert ko_of_summand(summand(MOORE_ETA_SQ, 7, 4)) == G("Z/2")
     with pytest.raises(UnsupportedSummand):
         ko_of_summand(P(4, 8))
 
@@ -112,11 +113,11 @@ def test_s4_table_entries():
     assert maps_to_s4(chang_eta(5)) == (G("0"), False)
     assert maps_to_s4(chang_eta(6)) == (G("Z"), False)
     assert maps_to_s4(chang_r(5, 2)) == (G("Z/8"), False)
-    assert maps_to_s4(moore_eta_lift(6, 1)) == (G("0"), False)
-    assert maps_to_s4(moore_eta_lift(6, 3)) == (G("Z/4"), False)
-    assert maps_to_s4(chang_ip_eta_lift(6, 2)) == (G("Z/4"), False)
-    assert maps_to_s4(sphere_eta_sq(6)) == (G("0"), False)
-    assert maps_to_s4(moore_eta_sq(6, 1)) == (G("Z/4"), False)
+    assert maps_to_s4(summand(MOORE_ETA_LIFT, 6, 2)) == (G("0"), False)
+    assert maps_to_s4(summand(MOORE_ETA_LIFT, 6, 8)) == (G("Z/4"), False)
+    assert maps_to_s4(summand(CHANG_IP_ETA_LIFT, 6, 4)) == (G("Z/4"), False)
+    assert maps_to_s4(summand(SPHERE_ETA_SQ, 6, 0)) == (G("0"), False)
+    assert maps_to_s4(summand(MOORE_ETA_SQ, 6, 2)) == (G("Z/4"), False)
     with pytest.raises(UnsupportedSummand):
         maps_to_s4(sphere(7))
 

@@ -35,10 +35,10 @@ def _candidates():
     out = []
     for kind, v in _VARIANTS.items():
         for n in range(v.min_dim, v.min_dim + 3):
-            if v.param == "order":
+            if v.param == "p^e":
                 out += [ElementaryComplex(kind, n, order=k) for k in _ORDERS]
-            elif v.param == "r":
-                out += [ElementaryComplex(kind, n, r=r) for r in (1, 2, 3)]
+            elif v.param == "2^r":
+                out += [ElementaryComplex(kind, n, order=2**r) for r in (1, 2, 3)]
             else:
                 out.append(ElementaryComplex(kind, n))
     return out
@@ -72,7 +72,7 @@ def test_candidates_cover_every_variant():
 def test_wedge_reads_agree_with_the_per_summand_loop(seed):
     parts = _random_parts(random.Random(seed), CANDIDATES)
     w = wedge(*parts)
-    ordered = sorted(parts, key=lambda cx: (cx.dim, _VARIANTS[cx.kind].rank, cx.order, cx.r))
+    ordered = sorted(parts, key=lambda cx: (cx.dim, _VARIANTS[cx.kind].rank, cx.order))
     assert sum(n for _, n in w.runs) == len(parts)
     assert all(a != b for (a, _), (b, _) in zip(w.runs, w.runs[1:]))
     assert expand(w.runs) == ordered

@@ -17,14 +17,10 @@ from susp5.spaces import (
     ElementaryComplex,
     Wedge,
     chang_eta,
-    chang_ip_eta_lift,
     chang_r,
     moore,
-    moore_eta_lift,
-    moore_eta_sq,
     peterson,
     sphere,
-    sphere_eta_sq,
     summand,
     wedge,
     wedge_of,
@@ -42,10 +38,10 @@ FROZEN_HOMOLOGY = [
     (moore(4, 8)[0], {3: zmod(8)}),
     (chang_eta(5), {3: Z, 5: Z}),
     (chang_r(5, 2), {3: zmod(4), 5: Z}),
-    (moore_eta_lift(6, 2), {3: zmod(4), 6: Z}),
-    (chang_ip_eta_lift(6, 3), {3: zmod(8), 5: Z, 6: Z}),
-    (sphere_eta_sq(6), {3: Z, 6: Z}),
-    (moore_eta_sq(6, 1), {3: zmod(2), 6: Z}),
+    (summand(spaces.MOORE_ETA_LIFT, 6, 4), {3: zmod(4), 6: Z}),
+    (summand(spaces.CHANG_IP_ETA_LIFT, 6, 8), {3: zmod(8), 5: Z, 6: Z}),
+    (summand(spaces.SPHERE_ETA_SQ, 6, 0), {3: Z, 6: Z}),
+    (summand(spaces.MOORE_ETA_SQ, 6, 2), {3: zmod(2), 6: Z}),
 ]
 
 FROZEN_CELLS = [
@@ -53,11 +49,17 @@ FROZEN_CELLS = [
     (moore(4, 8)[0], (3, 4)),
     (chang_eta(5), (3, 5)),
     (chang_r(5, 2), (3, 4, 5)),
-    (moore_eta_lift(6, 2), (3, 4, 6)),
-    (chang_ip_eta_lift(6, 3), (3, 4, 5, 6)),
-    (sphere_eta_sq(6), (3, 6)),
-    (moore_eta_sq(6, 1), (3, 4, 6)),
+    (summand(spaces.MOORE_ETA_LIFT, 6, 4), (3, 4, 6)),
+    (summand(spaces.CHANG_IP_ETA_LIFT, 6, 8), (3, 4, 5, 6)),
+    (summand(spaces.SPHERE_ETA_SQ, 6, 0), (3, 6)),
+    (summand(spaces.MOORE_ETA_SQ, 6, 2), (3, 4, 6)),
 ]
+
+
+# The kinds built on a 2-primary Moore space P(2^r), whose order is 2^r.
+TWO_PRIMARY = (
+    spaces.CHANG_R, spaces.MOORE_ETA_LIFT, spaces.CHANG_IP_ETA_LIFT, spaces.MOORE_ETA_SQ
+)
 
 
 def all_variants():
@@ -68,11 +70,9 @@ def all_variants():
         for r in (1, 2, 3):
             out.append(chang_r(n, r))
     for n in (6, 7, 8):
-        out.append(sphere_eta_sq(n))
+        out.append(summand(spaces.SPHERE_ETA_SQ, n, 0))
         for r in (1, 2, 3):
-            out.append(moore_eta_lift(n, r))
-            out.append(chang_ip_eta_lift(n, r))
-            out.append(moore_eta_sq(n, r))
+            out += [summand(kind, n, 2**r) for kind in TWO_PRIMARY if kind != spaces.CHANG_R]
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5, 8, 9):
             out.extend(moore(n, k))
@@ -112,9 +112,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             chang_eta(4)
         with pytest.raises(ValueError):
-            moore_eta_lift(5, 1)
+            summand(spaces.MOORE_ETA_LIFT, 5, 2)
         with pytest.raises(ValueError):
-            sphere_eta_sq(5)
+            summand(spaces.SPHERE_ETA_SQ, 5, 0)
         with pytest.raises(ValueError):
             sphere(0)
 
@@ -124,9 +124,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ElementaryComplex(spaces.MOORE, 4, order=6)  # composite order
         with pytest.raises(ValueError):
-            ElementaryComplex(spaces.CHANG_R, 5)  # missing r
+            ElementaryComplex(spaces.CHANG_R, 5)  # missing order
         with pytest.raises(ValueError):
             ElementaryComplex("mystery", 5)
+        for kind in TWO_PRIMARY:
+            for order in (0, 1, 3, 6, 12):
+                with pytest.raises(ValueError, match=f"bad order {order} for {kind}"):
+                    ElementaryComplex(kind, 6, order)
+            for r in (1, 2, 5, 63):
+                assert ElementaryComplex(kind, 6, 2**r).order == 2**r
 
     def test_moore_factory_splits_composites(self):
         assert [cx.order for cx in moore(4, 12)] == [4, 3]
@@ -147,8 +153,8 @@ class TestValidation:
 # Every invalid summand of TestValidation, as (constructor, arguments).
 INVALID = [
     (chang_eta, (4,)),
-    (moore_eta_lift, (5, 1)),
-    (sphere_eta_sq, (5,)),
+    (summand, (spaces.MOORE_ETA_LIFT, 5, 2)),
+    (summand, (spaces.SPHERE_ETA_SQ, 5, 0)),
     (sphere, (0,)),
     (moore, (4, 1)),
     (peterson, (4, FgAbGroup.free(1))),
@@ -156,10 +162,10 @@ INVALID = [
     (ElementaryComplex, (spaces.MOORE, 4, 6)),
     (ElementaryComplex, (spaces.CHANG_R, 5)),
     (ElementaryComplex, ("mystery", 5)),
-    (summand, (spaces.SPHERE, 3, 2, 0)),
-    (summand, (spaces.MOORE, 4, 6, 0)),
-    (summand, (spaces.CHANG_R, 5, 0, 0)),
-    (summand, ("mystery", 5, 0, 0)),
+    (summand, (spaces.SPHERE, 3, 2)),
+    (summand, (spaces.MOORE, 4, 6)),
+    (summand, (spaces.CHANG_R, 5, 0)),
+    (summand, ("mystery", 5, 0)),
 ]
 
 
@@ -167,12 +173,12 @@ class TestMemo:
     def test_factories_return_one_object_per_key(self):
         assert sphere(3) is sphere(3)
         assert moore(4, 8)[0] is moore(4, 8)[0] is peterson(4, zmod(8))[0]
-        assert chang_r(5, 2) is chang_r(5, 2) is summand(spaces.CHANG_R, 5, 0, 2)
-        assert moore_eta_sq(6, 1) is summand(spaces.MOORE_ETA_SQ, 6, 0, 1)
+        assert chang_r(5, 2) is chang_r(5, 2) is summand(spaces.CHANG_R, 5, 4)
+        assert summand(spaces.MOORE_ETA_SQ, 6, 2).section(4) is moore(4, 2)[0]
 
     def test_suspension_of_a_memoised_summand_is_memoised(self):
         for cx in all_variants():
-            assert cx.suspend() is cx.suspend() is summand(cx.kind, cx.dim + 1, cx.order, cx.r)
+            assert cx.suspend() is cx.suspend() is summand(cx.kind, cx.dim + 1, cx.order)
         assert sphere(3).suspend() is sphere(4)
         assert chang_r(5, 2).suspend().suspend() is chang_r(7, 2)
 
@@ -193,7 +199,7 @@ class TestMemo:
 
     def test_direct_summand_equals_the_memoised_one(self):
         for cx in all_variants():
-            direct = ElementaryComplex(cx.kind, cx.dim, cx.order, cx.r)
+            direct = ElementaryComplex(cx.kind, cx.dim, cx.order)
             assert direct is not cx
             assert direct == cx and hash(direct) == hash(cx)
             assert direct.render() == cx.render() and direct._key == cx._key
@@ -203,7 +209,7 @@ class TestMemo:
     def test_a_direct_summand_finds_the_memoised_entry(self):
         counts = {cx: i for i, cx in enumerate(all_variants())}
         for cx, i in counts.items():
-            direct = ElementaryComplex(cx.kind, cx.dim, cx.order, cx.r)
+            direct = ElementaryComplex(cx.kind, cx.dim, cx.order)
             assert hash(direct) == hash(cx) == hash(cx._key)
             assert counts[direct] == i
         assert ElementaryComplex(spaces.SPHERE, 4) not in {sphere(3): 1, sphere(5): 1}
@@ -245,7 +251,7 @@ class TestWedge:
             Wedge(((sphere(6), 1), (sphere(2), 1)))
 
     def test_render(self):
-        w = wedge(sphere(2), chang_r(5, 3), moore_eta_sq(6, 2))
+        w = wedge(sphere(2), chang_r(5, 3), summand(spaces.MOORE_ETA_SQ, 6, 4))
         assert w.render() == "S^2 v C^5_{r=3} v A^6(2^2 eta^2)"
         assert Wedge().render() == "pt"
 
@@ -253,7 +259,17 @@ class TestWedge:
         assert sphere(3).weight() == 1
         assert moore(4, 2)[0].weight() == 1
         assert chang_eta(5).weight() == 2
-        assert chang_ip_eta_lift(6, 1).weight() == 3
+        assert summand(spaces.CHANG_IP_ETA_LIFT, 6, 2).weight() == 3
+
+    @pytest.mark.parametrize("r", (1, 5, 63))
+    def test_two_primary_text(self, r):
+        # the exponent r of order 2^r, past the exponents the goldens reach
+        texts = [summand(kind, 6, 2**r).render() for kind in TWO_PRIMARY]
+        assert texts == {
+            1: ["C^6_{r=1}", "A^6(eta~_1)", "A^6(i_P eta~_1)", "A^6(2^1 eta^2)"],
+            5: ["C^6_{r=5}", "A^6(eta~_5)", "A^6(i_P eta~_5)", "A^6(2^5 eta^2)"],
+            63: ["C^6_{r=63}", "A^6(eta~_63)", "A^6(i_P eta~_63)", "A^6(2^63 eta^2)"],
+        }[r]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(all_variants()), max_size=6))
@@ -273,7 +289,7 @@ class TestWedge:
         w = wedge(*parts)
         shuffled = data.draw(st.permutations(parts))
         # equal summands rebuilt as new objects join the same runs
-        fresh = [ElementaryComplex(cx.kind, cx.dim, cx.order, cx.r) for cx in shuffled]
+        fresh = [ElementaryComplex(cx.kind, cx.dim, cx.order) for cx in shuffled]
         for v in (wedge(*shuffled), wedge(*fresh)):
             assert v == w and hash(v) == hash(w)
 
