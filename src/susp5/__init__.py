@@ -22,7 +22,7 @@ from susp5.invariants import (
 )
 from susp5.reduction import (
     AttachCase,
-    AttachingDataError,
+    DescriptorError,
     HMatrix,
     PhiVector,
     reduce_h_matrix,
@@ -32,8 +32,8 @@ from susp5.spaces import ElementaryComplex, Wedge, moore, peterson, sphere, wedg
 
 __all__ = [
     "AttachCase",
-    "AttachingDataError",
     "DecompositionError",
+    "DescriptorError",
     "ElementaryComplex",
     "FgAbGroup",
     "HMatrix",

@@ -22,6 +22,7 @@ route derives, at the ``[h_matrix]`` header.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -32,7 +33,6 @@ from susp5.abgroup import ORDER_BOUND, FgAbGroup, OrderRangeError, int_below
 from susp5.decompose import (
     CASES,
     DecompositionError,
-    DescriptorError,
     ManifoldDescriptor,
     double_suspension_decomposition,
     homology_section,
@@ -48,7 +48,7 @@ from susp5.invariants import (
     pi3,
     pi4_sigma_crosscheck,
 )
-from susp5.reduction import AttachCase, AttachingDataError, HMatrix
+from susp5.reduction import AttachCase, DescriptorError, HMatrix
 
 _0 = FgAbGroup.trivial()
 
@@ -105,8 +105,9 @@ class _Parser:
     def __init__(self, text: str, source: str):
         self.source = source
         self.scalars: dict[str, tuple[str, int, int]] = {}
-        self.sphere_rows: list[tuple[tuple[int, ...], int]] = []
-        self.moore_rows: list[tuple[int, tuple[int, ...], int]] = []
+        self.sphere_rows: list[tuple[int, ...]] = []
+        self.moore_rows: list[tuple[int, ...]] = []
+        self.moore_exponents: list[int] = []
         self.phi_rows: dict[str, tuple[tuple[int, ...], int, int]] = {}
         self.matrix_line = 0  # the [h_matrix] header, 0 without one
         self.phi_line = 0  # the [phi] header, 0 without one
@@ -171,8 +172,7 @@ class _Parser:
             rest = line[len("sphere") :].lstrip()
             if not rest.startswith("="):
                 self.error("syntax", "expected 'sphere = entries'", lineno, 1)
-            bits = self._entries(rest[1:], {"0": 0, "eta": 1}, lineno)
-            self.sphere_rows.append((bits, lineno))
+            self.sphere_rows.append(self._entries(rest[1:], {"0": 0, "eta": 1}, lineno))
             return
         if line.startswith("moore"):
             m = _MOORE_ROW_RE.fullmatch(line)
@@ -181,8 +181,8 @@ class _Parser:
             r = self._nat(m.group(1), "moore exponent", lineno, 1)
             if r < 1:
                 self.error("range", "moore exponent must be at least 1", lineno, 1)
-            bits = self._entries(m.group(2), {"0": 0, "i3eta": 1}, lineno)
-            self.moore_rows.append((r, bits, lineno))
+            self.moore_rows.append(self._entries(m.group(2), {"0": 0, "i3eta": 1}, lineno))
+            self.moore_exponents.append(r)
             return
         self.error("syntax", "matrix rows start with 'sphere' or 'moore'", lineno, 1)
 
@@ -316,7 +316,7 @@ class _Parser:
                 case=self._case() if "case" in self.scalars else AttachCase("null"),
                 **common,
             )
-        except (DescriptorError, AttachingDataError) as exc:
+        except DescriptorError as exc:
             # at the key or phi row the error is about; anything else the
             # matrix route derives or checks as a whole, at its header; on
             # the invariant route only the default case has no line, and
@@ -327,9 +327,9 @@ class _Parser:
 
     def _build_from_matrix(self, common) -> ManifoldDescriptor:
         h = HMatrix(
-            sphere_rows=tuple(bits for bits, _ in self.sphere_rows),
-            moore_rows=tuple(bits for _, bits, _ in self.moore_rows),
-            moore_exponents=tuple(r for r, _, _ in self.moore_rows),
+            sphere_rows=tuple(self.sphere_rows),
+            moore_rows=tuple(self.moore_rows),
+            moore_exponents=tuple(self.moore_exponents),
         )
         phi = {key: bits for key, (bits, _, _) in self.phi_rows.items()}
         return resolve_attaching_data(h_matrix=h, phi=phi, **common)
@@ -479,11 +479,9 @@ class RunConfig:
     out: str | None = None
 
 
-def _decode(data: bytes | str, source: str) -> str:
+def _decode(data: bytes, source: str) -> str:
     """The text of one input; a byte that is not UTF-8 is a syntax error
     at its line and column."""
-    if isinstance(data, str):
-        return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -493,10 +491,19 @@ def _decode(data: bytes | str, source: str) -> str:
 
 
 def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
-    """Process every input; 0 = clean, 1 = failed check, 2 = bad input."""
+    """Process every input; 0 = clean, 1 = failed check, 2 = bad input.
+
+    stdin is a binary stream, read when no path is given.  Each report is
+    written as soon as it is built, so a batch holds one report at a time;
+    with config.out the text is held until every input has been read, so
+    the out file may be one of the inputs.
+    """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    outputs = []
+    sink = io.StringIO() if config.out else stdout
+    # one report in full, or one line (or header) per file given
+    batch = len(config.paths) > 1
+    separator = ""
     worst = 0
     for source in config.paths or ("<stdin>",):
         try:
@@ -518,37 +525,23 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
             continue
         if "fail" in report["checks"].values():
             worst = max(worst, 1)
-        outputs.append((source, report))
-
-    # one report in full, or one line (or header) per file given
-    batch = len(config.paths) > 1
-    if config.fmt == "structured":
-        if not batch:
-            payload = "".join(
-                json.dumps(r, sort_keys=True, indent=2) + "\n" for _, r in outputs
-            )
+        if config.fmt == "structured" and batch:
+            report = {"source": source, **report}
+            sink.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        elif config.fmt == "structured":
+            sink.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         else:
-            payload = "".join(
-                json.dumps({"source": s, **r}, sort_keys=True, separators=(",", ":"))
-                + "\n"
-                for s, r in outputs
-            )
-    else:
-        chunks = []
-        for s, r in outputs:
-            header = f"== {s} ==\n" if batch else ""
-            chunks.append(header + render_human(r))
-        payload = "\n".join(chunks)
+            header = f"== {source} ==\n" if batch else ""
+            sink.write(separator + header + render_human(report))
+            separator = "\n"
 
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.write(sink.getvalue())
         except OSError as exc:
             print(f"{config.out}: {exc.strerror or exc}", file=stderr)
             return 2
-    else:
-        stdout.write(payload)
     return worst
 
 

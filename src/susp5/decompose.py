@@ -25,7 +25,7 @@ from itertools import chain
 from susp5.abgroup import FgAbGroup
 from susp5.reduction import (
     AttachCase,
-    AttachingDataError,
+    DescriptorError,
     HMatrix,
     PhiVector,
     reduce_h_matrix,
@@ -47,15 +47,6 @@ from susp5.spaces import (
     summand,
     wedge_of,
 )
-
-
-class DescriptorError(ValueError):
-    """Invalid or inconsistent manifold invariants; key names the descriptor
-    file key the error is about (l, d, H, T, c1, c2, consumed or case)."""
-
-    def __init__(self, message: str, key: str):
-        super().__init__(message)
-        self.key = key
 
 
 class DecompositionError(ValueError):
@@ -301,17 +292,17 @@ def resolve_attaching_data(
     >>> resolve_attaching_data(h_matrix=h, phi={"z": (1, 0)}, **inv)
     Traceback (most recent call last):
     ...
-    susp5.reduction.AttachingDataError: phi component 'z' needs 1 entries here
+    susp5.reduction.DescriptorError: phi component 'z' needs 1 entries here
     """
     exps = h2_torsion.primary_exponents(2)
     if len(h_matrix.sphere_rows) != d:
-        raise AttachingDataError("h_matrix needs one sphere row per free class")
+        raise DescriptorError("h_matrix needs one sphere row per free class")
     if h_matrix.moore_exponents != exps:
-        raise AttachingDataError(
+        raise DescriptorError(
             "h_matrix Moore exponents must match the two-primary part of h2"
         )
     if h_matrix.num_columns != l:
-        raise AttachingDataError("h_matrix needs one column per source class")
+        raise DescriptorError("h_matrix needs one column per source class")
 
     res = reduce_h_matrix(h_matrix)
     c1, c2, consumed = res.c1, res.c2, res.consumed
@@ -319,14 +310,14 @@ def resolve_attaching_data(
     sizes = dict(x=d - c1, y=d, z=len(unconsumed), eps=len(unconsumed), w=c2)
     phi = phi or {}
     for key in sorted(phi.keys() - sizes):
-        raise AttachingDataError(f"unknown phi component {key!r}", key)
+        raise DescriptorError(f"unknown phi component {key!r}", key)
     rows = {}
     for key, n in sizes.items():
         rows[key] = bits = tuple(phi.get(key, (0,) * n))
         if len(bits) != n:
-            raise AttachingDataError(f"phi component {key!r} needs {n} entries here", key)
+            raise DescriptorError(f"phi component {key!r} needs {n} entries here", key)
         if bits.count(0) + bits.count(1) != n:
-            raise AttachingDataError(f"phi component {key!r} entries must be 0 or 1", key)
+            raise DescriptorError(f"phi component {key!r} entries must be 0 or 1", key)
     vector = PhiVector(
         rows["x"],
         rows["y"],

@@ -31,9 +31,13 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress
 
 
-class AttachingDataError(ValueError):
-    """Attaching data violates a structural constraint; key names the phi
-    component (x, y, z, eps or w) the error is about, if any."""
+class DescriptorError(ValueError):
+    """Descriptor data that no manifold has: invariants out of range or
+    inconsistent, or attaching data that violates a structural constraint.
+
+    key names the descriptor file key the error is about, if any: l, d, H,
+    T, c1, c2, consumed or case, or the phi row x, y, z, eps or w.
+    """
 
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
@@ -55,15 +59,15 @@ class HMatrix:
     def __post_init__(self):
         rows = (*self.sphere_rows, *self.moore_rows)
         if len({len(r) for r in rows}) > 1:
-            raise AttachingDataError("rows of unequal length")
+            raise DescriptorError("rows of unequal length")
         for row in rows:
             # count() compares with ==, as `in (0, 1)` does: True and 1.0 pass
             if row.count(0) + row.count(1) != len(row):
-                raise AttachingDataError("matrix entries must be 0 or 1")
+                raise DescriptorError("matrix entries must be 0 or 1")
         if len(self.moore_exponents) != len(self.moore_rows):
-            raise AttachingDataError("one exponent per Moore row required")
+            raise DescriptorError("one exponent per Moore row required")
         if any(e < 1 for e in self.moore_exponents):
-            raise AttachingDataError("Moore exponents must be at least 1")
+            raise DescriptorError("Moore exponents must be at least 1")
 
     @property
     def num_columns(self) -> int:
@@ -316,15 +320,15 @@ class PhiVector:
     def __post_init__(self):
         bits, slots = self.x + self.y + self.w, self.moore
         if bits.count(0) + bits.count(1) != len(bits):
-            raise AttachingDataError("sphere and w components must be 0 or 1")
+            raise DescriptorError("sphere and w components must be 0 or 1")
         if slots.count(0) + slots.count(1) + slots.count(2) + slots.count(3) != len(slots):
-            raise AttachingDataError("Moore slot values must lie in 0..3")
+            raise DescriptorError("Moore slot values must lie in 0..3")
         if len(self.moore) != len(self.moore_exponents):
-            raise AttachingDataError("one exponent per Moore slot required")
+            raise DescriptorError("one exponent per Moore slot required")
         if len(self.w) != len(self.consumed_exponents):
-            raise AttachingDataError("one exponent per consumed slot required")
+            raise DescriptorError("one exponent per consumed slot required")
         if any(e < 1 for e in self.moore_exponents + self.consumed_exponents):
-            raise AttachingDataError("exponents must be at least 1")
+            raise DescriptorError("exponents must be at least 1")
 
 
 def _z_active(phi: PhiVector, i: int) -> bool:
@@ -365,11 +369,9 @@ def reduce_phi(phi: PhiVector, smooth: bool) -> AttachCase:
     """
     if smooth:
         if any(phi.x):
-            raise AttachingDataError(
-                "eta^2 components are not allowed for smooth input", "x"
-            )
+            raise DescriptorError("eta^2 components are not allowed for smooth input", "x")
         if any(_eps_active(phi, i) for i in range(len(phi.moore))):
-            raise AttachingDataError(
+            raise DescriptorError(
                 "included eta^2 components are not allowed for smooth input", "eps"
             )
     z_cand = [

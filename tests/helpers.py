@@ -14,7 +14,14 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from susp5.abgroup import FgAbGroup
-from susp5.reduction import AttachCase, HMatrix, PhiVector, _b_transport, _slot_add
+from susp5.reduction import (
+    AttachCase,
+    HMatrix,
+    PhiVector,
+    _b_transport,
+    _slot_add,
+    reduce_h_matrix,
+)
 
 
 # -- exact linear algebra oracles -------------------------------------------
@@ -414,6 +421,129 @@ def shape_variants(desc: ManifoldDescriptor):
                     replace(desc, c1=c1, c2=c2, consumed=consumed, case=case)
                 )
     return out
+
+
+# -- connected sums ------------------------------------------------------------
+
+# reduce_phi's dominance order on the attaching cases of M # N, smallest
+# first: a lifted eta class of least exponent (unconsumed before consumed,
+# then lower index), then eta, eta^2, and an included eta^2 of greatest
+# exponent; null is the unit.
+_DOMINANCE = {
+    "tilde_eta": lambda r, j: (0, r, 0, j),
+    "ip_tilde_eta": lambda r, j: (0, r, 1, j),
+    "eta": lambda r, j: (1,),
+    "eta_sq": lambda r, j: (2,),
+    "i_eta_sq": lambda r, j: (3, -r, j),
+    "null": lambda r, j: (4,),
+}
+
+
+def merged_slots(left_exps, right_exps) -> tuple[dict[int, int], dict[int, int]]:
+    """Where each side's two-primary summands land in the ascending list of
+    the direct sum, left before right at equal exponent."""
+    order = sorted(
+        [(e, 0, i) for i, e in enumerate(left_exps)]
+        + [(e, 1, i) for i, e in enumerate(right_exps)]
+    )
+    maps: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for pos, (_, side, i) in enumerate(order):
+        maps[side][i] = pos
+    return maps
+
+
+def connected_sum(m: ManifoldDescriptor, n: ManifoldDescriptor) -> ManifoldDescriptor:
+    """The descriptor of M # N on the invariant route: ranks and (c1, c2)
+    add, torsion sums, the flags AND, and the case is the dominant one."""
+    maps = merged_slots(m.two_primary_exponents, n.two_primary_exponents)
+    cases = []
+    for desc, where in zip((m, n), maps):
+        j = None if desc.case.index is None else where[desc.case.index]
+        cases.append((_DOMINANCE[desc.case.kind](desc.case.r, j), desc.case.kind, j))
+    _, kind, j = min(cases)
+    consumed = [where[i] for desc, where in zip((m, n), maps) for i in desc.consumed]
+    return ManifoldDescriptor(
+        l=m.l + n.l,
+        d=m.d + n.d,
+        h1_torsion=m.h1_torsion.direct_sum(n.h1_torsion),
+        h2_torsion=m.h2_torsion.direct_sum(n.h2_torsion),
+        spin=m.spin and n.spin,
+        smooth=m.smooth and n.smooth,
+        c1=m.c1 + n.c1,
+        c2=m.c2 + n.c2,
+        consumed=tuple(sorted(consumed)),
+        case=AttachCase(kind, j),
+    )
+
+
+def random_matrix_route(rng: random.Random, max_l: int = 4, max_d: int = 4) -> dict:
+    """Keyword arguments of decompose.resolve_attaching_data: a random eta
+    incidence matrix and phi rows sized from its reduction.  Smooth input
+    gets no eta^2 rows; the spin flag is whether no eta-type row is set."""
+    l, d = rng.randint(1, max_l), rng.randint(1, max_d)
+    h2 = random_torsion(rng, (2, 2, 3), 4, 3)
+    exps = h2.primary_exponents(2)
+
+    def bits(n, on=True):
+        return tuple(rng.randint(0, 1) if on else 0 for _ in range(n))
+
+    h = HMatrix(
+        sphere_rows=tuple(bits(l) for _ in range(d)),
+        moore_rows=tuple(bits(l) for _ in exps),
+        moore_exponents=exps,
+    )
+    res = reduce_h_matrix(h)
+    free = len(exps) - res.c2
+    smooth, eta = rng.random() < 0.5, rng.random() < 0.5
+    phi = dict(
+        x=bits(d - res.c1, not smooth),
+        y=bits(d, eta),
+        z=bits(free, eta),
+        eps=bits(free, not smooth),
+        w=bits(res.c2, eta),
+    )
+    spin = not any(phi["y"] + phi["z"] + phi["w"])
+    return dict(
+        l=l, d=d, h1_torsion=random_torsion(rng, (3, 5, 7), 2, 2), h2_torsion=h2,
+        spin=spin, smooth=smooth, h_matrix=h, phi=phi,
+    )
+
+
+def matrix_connected_sum(a: dict, b: dict) -> dict:
+    """The matrix-route arguments of M # N: the block-diagonal incidence
+    matrix, with Moore rows in the merged exponent order, and each side's
+    phi rows placed on its own spheres and slots."""
+    ha, hb = a["h_matrix"], b["h_matrix"]
+    la, lb = a["l"], b["l"]
+    h2 = a["h2_torsion"].direct_sum(b["h2_torsion"])
+    maps = merged_slots(ha.moore_exponents, hb.moore_exponents)
+    moore = {maps[0][i]: row + (0,) * lb for i, row in enumerate(ha.moore_rows)}
+    moore.update({maps[1][i]: (0,) * la + row for i, row in enumerate(hb.moore_rows)})
+    h = HMatrix(
+        sphere_rows=tuple(row + (0,) * lb for row in ha.sphere_rows)
+        + tuple((0,) * la + row for row in hb.sphere_rows),
+        moore_rows=tuple(moore[k] for k in sorted(moore)),
+        moore_exponents=h2.primary_exponents(2),
+    )
+    # each side's z, eps and w bits, keyed by the merged index of their slot
+    slots = {"z": {}, "eps": {}, "w": {}}
+    for args, where in zip((a, b), maps):
+        consumed = reduce_h_matrix(args["h_matrix"]).consumed
+        unconsumed = [j for j in sorted(where) if j not in consumed]
+        for key, js in (("z", unconsumed), ("eps", unconsumed), ("w", consumed)):
+            slots[key].update({where[j]: bit for j, bit in zip(js, args["phi"][key])})
+    phi = {key: a["phi"][key] + b["phi"][key] for key in ("x", "y")}
+    phi.update({key: tuple(bits[k] for k in sorted(bits)) for key, bits in slots.items()})
+    return dict(
+        l=la + lb,
+        d=a["d"] + b["d"],
+        h1_torsion=a["h1_torsion"].direct_sum(b["h1_torsion"]),
+        h2_torsion=h2,
+        spin=a["spin"] and b["spin"],
+        smooth=a["smooth"] and b["smooth"],
+        h_matrix=h,
+        phi=phi,
+    )
 
 
 # -- reference wedge lists ------------------------------------------------------

@@ -29,6 +29,7 @@ from susp5.cli import (
     main,
     parse_descriptor_text,
     render_descriptor,
+    render_human,
     run,
 )
 from susp5.reduction import AttachCase
@@ -644,7 +645,7 @@ def test_run_human_output():
     buf, err = io.StringIO(), io.StringIO()
     code = run(
         RunConfig(),
-        stdin=io.StringIO("l = 1\nd = 1\nH = Z/5\nspin = true\n"),
+        stdin=io.BytesIO(b"l = 1\nd = 1\nH = Z/5\nspin = true\n"),
         stdout=buf,
         stderr=err,
     )
@@ -659,7 +660,7 @@ def test_structured_output_is_byte_stable():
     payloads = []
     for _ in range(2):
         buf = io.StringIO()
-        code = run(RunConfig(fmt="structured"), stdin=io.StringIO(FULL), stdout=buf)
+        code = run(RunConfig(fmt="structured"), stdin=io.BytesIO(FULL.encode()), stdout=buf)
         assert code == 0
         payloads.append(buf.getvalue())
     assert payloads[0] == payloads[1]
@@ -719,7 +720,7 @@ def test_three_torsion_is_reported_not_split(tmp_path):
     text = "l = 1\nd = 1\nH = Z/3\nspin = true\n"
     note = "three-primary classes in h1 obstruct the single-suspension splitting"
     buf = io.StringIO()
-    assert run(RunConfig(fmt="structured"), stdin=io.StringIO(text), stdout=buf) == 0
+    assert run(RunConfig(fmt="structured"), stdin=io.BytesIO(text.encode()), stdout=buf) == 0
     report = json.loads(buf.getvalue())
     assert report["single_suspension"] is None
     assert report["single_suspension_note"] == note
@@ -896,6 +897,36 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(args) == 0
     assert dst.read_text() == capsys.readouterr().out
+
+
+def test_out_file_may_name_its_own_input(tmp_path):
+    # --out is written after every input is read, so the input is intact
+    src = tmp_path / "a.txt"
+    src.write_text(MINIMAL)
+    assert main([str(src), "--out", str(src)]) == 0
+    assert src.read_text() == render_human(build_report(parse_descriptor_text(MINIMAL)))
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_a_batch_writes_each_report_before_reading_the_next_input(tmp_path, monkeypatch, fmt):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(MINIMAL)
+    b.write_text(MATRIX)
+    out = io.StringIO()
+    written_before = {}
+
+    def spy(path, *args, **kwargs):
+        written_before[path] = out.getvalue()
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    assert run(RunConfig(paths=(str(a), str(b)), fmt=fmt), stdout=out) == 0
+    first = written_before[str(b)]
+    assert written_before[str(a)] == "" and out.getvalue().startswith(first)
+    if fmt == "human":
+        assert first == f"== {a} ==\n" + render_human(build_report(parse_descriptor_text(MINIMAL)))
+    else:
+        assert first.count("\n") == 1 and json.loads(first)["source"] == str(a)
 
 
 def test_unwritable_out_path_exit(tmp_path):

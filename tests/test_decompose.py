@@ -19,7 +19,6 @@ from susp5.cli import parse_descriptor_text, render_descriptor
 from susp5.decompose import (
     CASES,
     DecompositionError,
-    DescriptorError,
     ManifoldDescriptor,
     double_suspension_decomposition,
     homology_section,
@@ -27,7 +26,7 @@ from susp5.decompose import (
     resolve_attaching_data,
     suspension_decomposition,
 )
-from susp5.reduction import AttachCase, AttachingDataError, HMatrix
+from susp5.reduction import AttachCase, DescriptorError, HMatrix
 from susp5.spaces import chang_r, moore, sphere, summand, wedge
 
 Z0 = FgAbGroup.trivial()
@@ -414,7 +413,7 @@ def test_resolve_maps_slot_to_global_index():
 
 def test_resolve_shape_errors():
     T = FgAbGroup.from_string("Z/2")
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         resolve_attaching_data(
             l=1,
             d=2,
@@ -424,7 +423,7 @@ def test_resolve_shape_errors():
             smooth=True,
             h_matrix=HMatrix(((1,),), ((1,),), (1,)),
         )
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         resolve_attaching_data(
             l=1,
             d=1,
@@ -434,7 +433,7 @@ def test_resolve_shape_errors():
             smooth=True,
             h_matrix=HMatrix(((1,),), ((1,),), (2,)),
         )
-    with pytest.raises(AttachingDataError) as ei:
+    with pytest.raises(DescriptorError) as ei:
         resolve_attaching_data(
             l=1,
             d=1,
@@ -457,7 +456,7 @@ def test_resolve_shape_errors():
     ids=["entry", "unknown"],
 )
 def test_resolve_rejects_malformed_phi(phi, message, key):
-    with pytest.raises(AttachingDataError) as ei:
+    with pytest.raises(DescriptorError) as ei:
         resolve_attaching_data(
             l=1,
             d=1,

@@ -62,7 +62,8 @@ def mutants(draw):
 
 def _ends_in_a_report_or_a_located_parse_error(text: str) -> None:
     out, err = io.StringIO(), io.StringIO()
-    code = run(RunConfig(fmt="structured"), stdin=io.StringIO(text), stdout=out, stderr=err)
+    stdin = io.BytesIO(text.encode())
+    code = run(RunConfig(fmt="structured"), stdin=stdin, stdout=out, stderr=err)
     if code == 2:
         # one line, however the message quotes the input
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from helpers import expand, random_descriptor
 from susp5.abgroup import FgAbGroup
 from susp5.decompose import (
-    DescriptorError,
     ManifoldDescriptor,
     double_suspension_decomposition,
     suspension_decomposition,
@@ -28,7 +27,7 @@ from susp5.invariants import (
     pi3,
     pi4_sigma_crosscheck,
 )
-from susp5.reduction import AttachCase
+from susp5.reduction import AttachCase, DescriptorError
 from susp5.spaces import (
     CHANG_IP_ETA_LIFT,
     MOORE_ETA_LIFT,

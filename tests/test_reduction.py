@@ -18,7 +18,7 @@ from helpers import (
 )
 from susp5.reduction import (
     AttachCase,
-    AttachingDataError,
+    DescriptorError,
     HMatrix,
     PhiVector,
     _b_transport,
@@ -41,13 +41,13 @@ def H(sphere, moore, exps):
 
 
 def test_validation():
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         H([[1, 0]], [[1]], [1])
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         H([[2]], [], [])
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         H([], [[1]], [])
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         H([], [[1]], [0])
 
 
@@ -58,7 +58,7 @@ EQUAL_TO_ONE = pytest.mark.parametrize("one", [True, 1.0], ids=repr)
 @NOT_BITS
 def test_matrix_entries_other_than_0_and_1_are_rejected(bad):
     for sphere, moore in (([[0, bad]], [[0, 1]]), ([[0, 1]], [[bad, 1]])):
-        with pytest.raises(AttachingDataError, match="^matrix entries must be 0 or 1$"):
+        with pytest.raises(DescriptorError, match="^matrix entries must be 0 or 1$"):
             H(sphere, moore, [1])
 
 
@@ -284,21 +284,21 @@ def phi(x=(), y=(), moore=(), exps=(), w=(), cons=()):
 
 
 def test_phi_validation():
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         phi(x=(2,))
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         phi(moore=(4,), exps=(1,))
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         phi(moore=(1,), exps=())
 
 
 @NOT_BITS
 def test_phi_entries_out_of_range_are_rejected(bad):
     for kwargs in (dict(x=(bad,)), dict(y=(0, bad)), dict(w=(bad,), cons=(1,))):
-        with pytest.raises(AttachingDataError, match="^sphere and w components must be 0 or 1$"):
+        with pytest.raises(DescriptorError, match="^sphere and w components must be 0 or 1$"):
             phi(**kwargs)
     slot = 4 if bad == 2 else bad
-    with pytest.raises(AttachingDataError, match="^Moore slot values must lie in 0..3$"):
+    with pytest.raises(DescriptorError, match="^Moore slot values must lie in 0..3$"):
         phi(moore=(3, slot), exps=(1, 2))
 
 
@@ -354,11 +354,11 @@ def test_unit_times_lift_is_still_a_lift():
 
 
 def test_smooth_rejects_eta_sq_components():
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         reduce_phi(phi(x=(1,)), smooth=True)
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         reduce_phi(phi(moore=(2,), exps=(1,)), smooth=True)
-    with pytest.raises(AttachingDataError):
+    with pytest.raises(DescriptorError):
         reduce_phi(phi(moore=(3,), exps=(2,)), smooth=True)
 
 
