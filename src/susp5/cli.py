@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -560,8 +561,15 @@ def make_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line; exit 141 (128 + SIGPIPE) if stdout's reader quits."""
     ns = make_arg_parser().parse_args(argv)
-    return run(RunConfig(paths=tuple(ns.paths), fmt=ns.fmt, out=ns.out))
+    try:
+        return run(RunConfig(paths=tuple(ns.paths), fmt=ns.fmt, out=ns.out))
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; send that
+        # flush nowhere so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -19,15 +19,16 @@ enumerate_orbit and enumerate_phi_orbit run breadth-first searches over
 all legal single moves; they exist to cross-check the greedy normal forms
 on small instances.  The searches run over one int per state (the matrix
 rows side by side; the phi bits, then two bits per Moore slot) through
-_h_table and _phi_table, the one move table per shape, and build one
-validated object per orbit member; legal_moves and phi_moves unpack the
-same table in the same order.
+_h_search and _phi_search, one cached record per shape that holds the move
+table, the unpacker and the successor function.  They build one validated
+object per orbit member; legal_moves and phi_moves read the same record in
+the same order.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 
@@ -100,25 +101,15 @@ def _h_state(h: HMatrix, cols: int) -> int:
     return _join_rows(_pack_rows(h, cols), cols)
 
 
-def _h_unpacker(shape: tuple[int, tuple[int, ...], int]):
-    """state -> the HMatrix of shape packed in it.  Orbit members share
-    rows, so each distinct row value becomes a tuple once per unpacker."""
-    d, exps, cols = shape
-    full = (1 << cols) - 1
-    offsets = [i * cols for i in range(d + len(exps))]
-    bits = cache(lambda m: tuple((m >> c) & 1 for c in range(cols)))
-
-    def unpack(state: int) -> HMatrix:
-        rows = [bits((state >> o) & full) for o in offsets]
-        return HMatrix(tuple(rows[:d]), tuple(rows[d:]), exps)
-
-    return unpack
-
-
 @lru_cache(maxsize=64)
-def _h_table(d: int, exps: tuple[int, ...], cols: int) -> tuple[int, tuple]:
-    """The move table of legal_moves for d sphere rows, Moore rows of
-    exponents exps and cols columns, as (lift, moves).
+def _h_search(d: int, exps: tuple[int, ...], cols: int):
+    """The orbit search over matrices of d sphere rows, Moore rows of
+    exponents exps and cols columns, as (unpack, successors).
+
+    unpack(state) is the HMatrix packed in state; orbits of one shape share
+    rows, so each distinct row value becomes one tuple per shape.
+    successors(state) lists the states one legal move away, in the order of
+    legal_moves.
 
     Each move is (q, mask): the state s goes to s ^ (((s << lift) >> q) &
     mask).  Adding row k onto row i shifts row k's bits into row i's place;
@@ -150,18 +141,21 @@ def _h_table(d: int, exps: tuple[int, ...], cols: int) -> tuple[int, tuple]:
         for k in range(d, n):
             if j != k and exps[j - d] >= exps[k - d]:
                 added(k, j)
-    return lift, tuple(moves)
+    offsets = [i * cols for i in range(n)]
 
+    @lru_cache(maxsize=256)
+    def bits(m: int) -> tuple[int, ...]:
+        return tuple((m >> c) & 1 for c in range(cols))
 
-def _h_successors(shape: tuple[int, tuple[int, ...], int]):
-    """state -> list of the states one legal move away, in table order."""
-    lift, moves = _h_table(*shape)
+    def unpack(state: int) -> HMatrix:
+        rows = [bits((state >> o) & row) for o in offsets]
+        return HMatrix(tuple(rows[:d]), tuple(rows[d:]), exps)
 
     def successors(s: int) -> list[int]:
         t = s << lift
         return [s ^ ((t >> q) & mask) for q, mask in moves]
 
-    return successors
+    return unpack, successors
 
 
 def legal_moves(h: HMatrix) -> list[HMatrix]:
@@ -174,8 +168,8 @@ def legal_moves(h: HMatrix) -> list[HMatrix]:
     (B(chi) transports i eta with unit coefficient exactly then).
     """
     shape = _shape(h)
-    moves = _h_successors(shape)(_h_state(h, shape[2]))
-    return list(map(_h_unpacker(shape), moves))
+    unpack, successors = _h_search(*shape)
+    return list(map(unpack, successors(_h_state(h, shape[2]))))
 
 
 def _closure(start: int, successors, limit: int) -> set[int]:
@@ -197,8 +191,8 @@ def enumerate_orbit(h: HMatrix, limit: int = 200_000) -> set[HMatrix]:
     reachable set is the full orbit).  The search runs over one int per
     state."""
     shape = _shape(h)
-    orbit = _closure(_h_state(h, shape[2]), _h_successors(shape), limit)
-    return set(map(_h_unpacker(shape), orbit))
+    unpack, successors = _h_search(*shape)
+    return set(map(unpack, _closure(_h_state(h, shape[2]), successors, limit)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ class ReductionResult:
 
     @cached_property
     def reduced(self) -> HMatrix:
-        return _h_unpacker(self.shape)(self.state)
+        return _h_search(*self.shape)[0](self.state)
 
 
 def reduce_h_matrix(h: HMatrix) -> ReductionResult:
@@ -427,42 +421,26 @@ def _phi_state(phi: PhiVector) -> int:
     return state + sum(int(c) << (len(bits) + 2 * j) for j, c in enumerate(phi.moore))
 
 
-def _phi_unpacker(phi: PhiVector):
-    """state -> the PhiVector of phi's shape packed in it, through one memo
-    of the (x, y, w) bits and one of the Moore slots."""
-    a, b, u = len(phi.x), len(phi.y), len(phi.moore)
-    base = a + b + len(phi.w)
-    low = (1 << base) - 1
-
-    def split(m):
-        bits = tuple((m >> i) & 1 for i in range(base))
-        return bits[:a], bits[a : a + b], bits[a + b :]
-
-    xyw = cache(split)
-    slots = cache(lambda m: tuple((m >> (2 * j)) & 3 for j in range(u)))
-    R, S = phi.moore_exponents, phi.consumed_exponents
-
-    def unpack(state: int) -> PhiVector:
-        x, y, w = xyw(state & low)
-        return PhiVector(x, y, slots(state >> base), R, w, S)
-
-    return unpack
-
-
 @lru_cache(maxsize=64)
-def _phi_table(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]) -> tuple:
-    """The move table of phi_moves for a three-spheres, b four-spheres,
-    Moore slots of exponents R and consumed pieces of exponents S.
+def _phi_search(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]):
+    """The orbit search over vectors of a three-spheres, b four-spheres,
+    Moore slots of exponents R and consumed pieces of exponents S, as
+    (unpack, successors).
 
-    One entry (position, width mask, moves by value) per source component,
-    x first, then y, the Moore slots and w: the moves a component makes
-    depend on its value alone.  Each move is (k, c) and takes the state s to
-    s ^ k ^ ((s << 1) & c).  c is 0, making the move a constant XOR, except
-    when an odd delta is added to an exponent-one slot, whose Z/4 law
-    carries the slot's low bit into its high bit.
+    unpack(state) is the PhiVector packed in state, through one memo of the
+    (x, y, w) bits and one of the Moore slots per shape.  successors(state)
+    lists the states one elementary shear away, in the order of phi_moves.
+
+    The move table has one entry (position, width mask, moves by value) per
+    source component, x first, then y, the Moore slots and w: the moves a
+    component makes depend on its value alone.  Each move is (k, c) and
+    takes the state s to s ^ k ^ ((s << 1) & c).  c is 0, making the move a
+    constant XOR, except when an odd delta is added to an exponent-one slot,
+    whose Z/4 law carries the slot's low bit into its high bit.
     """
-    X, Y, W = range(a), range(a, a + b), range(a + b, a + b + len(S))
-    M = [a + b + len(S) + 2 * j for j in range(len(R))]
+    base = a + b + len(S)
+    X, Y, W = range(a), range(a, a + b), range(a + b, base)
+    M = [base + 2 * j for j in range(len(R))]
 
     def bits(positions):
         return [(1 << p, 0) for p in positions]
@@ -511,12 +489,20 @@ def _phi_table(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]) -> tuple:
                 moves.append(slot(j, 1))
         moves += bits(p for p, s2 in zip(W, S) if p != i and s2 >= s)
         table.append((i, 1, ((), tuple(moves))))
-    return tuple(table)
+    low = (1 << base) - 1
 
+    @lru_cache(maxsize=256)
+    def xyw(m: int):
+        flags = tuple((m >> i) & 1 for i in range(base))
+        return flags[:a], flags[a : a + b], flags[a + b :]
 
-def _phi_successors(phi: PhiVector):
-    """state -> list of the states one elementary shear away, in table order."""
-    table = _phi_table(len(phi.x), len(phi.y), phi.moore_exponents, phi.consumed_exponents)
+    @lru_cache(maxsize=256)
+    def slots(m: int) -> tuple[int, ...]:
+        return tuple((m >> (2 * j)) & 3 for j in range(len(R)))
+
+    def unpack(state: int) -> PhiVector:
+        x, y, w = xyw(state & low)
+        return PhiVector(x, y, slots(state >> base), R, w, S)
 
     def successors(s: int) -> list[int]:
         out = []
@@ -525,7 +511,7 @@ def _phi_successors(phi: PhiVector):
             out += [s ^ k ^ (s2 & c) for k, c in by_value[(s >> position) & width]]
         return out
 
-    return successors
+    return unpack, successors
 
 
 def phi_moves(phi: PhiVector) -> list[PhiVector]:
@@ -537,12 +523,17 @@ def phi_moves(phi: PhiVector) -> list[PhiVector]:
     Moore slots, B(chi) between Moore slots, and the xi-bar and i_P
     composites in and out of the consumed two-stage pieces.
     """
-    return list(map(_phi_unpacker(phi), _phi_successors(phi)(_phi_state(phi))))
+    unpack, successors = _phi_search(
+        len(phi.x), len(phi.y), phi.moore_exponents, phi.consumed_exponents
+    )
+    return list(map(unpack, successors(_phi_state(phi))))
 
 
 def enumerate_phi_orbit(phi: PhiVector, limit: int = 500_000) -> set[PhiVector]:
     """Closure of phi under elementary shears (again a full orbit: every
     move fixes its source component, so repeating it inverts it).  The
     search runs over one int per state."""
-    orbit = _closure(_phi_state(phi), _phi_successors(phi), limit)
-    return set(map(_phi_unpacker(phi), orbit))
+    unpack, successors = _phi_search(
+        len(phi.x), len(phi.y), phi.moore_exponents, phi.consumed_exponents
+    )
+    return set(map(unpack, _closure(_phi_state(phi), successors, limit)))

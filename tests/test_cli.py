@@ -961,6 +961,26 @@ def test_module_entry_point(tmp_path):
     assert "S^2 v S^3 v S^4 v S^5 v S^6" in proc.stdout
 
 
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_closed_pipe_exits_141_without_a_traceback(fmt):
+    # 120 reports overflow the pipe buffer, so the writer is still writing
+    # when the reader goes away, as with `susp5 files... | head -1`
+    descriptors = sorted((Path(__file__).resolve().parents[1] / "scripts/descriptors").glob("*.txt"))
+    src = str(Path(susp5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "susp5", "--format", fmt, *map(str, descriptors * 20)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    assert proc.returncode == 141, stderr
+    assert "Traceback" not in stderr
+
+
 # A complex K-theory table that is wrong on spheres; the balance check
 # must catch it however the interpreter runs (asserts vanish under -O).
 _BAD_K_TABLE = """

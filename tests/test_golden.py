@@ -6,8 +6,11 @@ human output, as written by the release the files were recorded from.  The
 inputs are the six sample descriptors in scripts/descriptors and the files
 tests/golden/*.txt: three_primary_eta.txt, whose three-primary H blocks the
 single splitting, so that its report builds the double suspension without
-the single one; and large_chain.txt, a chain-level file of corpus-large
-size (64 columns, eight Moore rows, a [phi] block).  descriptors.human
+the single one; large_chain.txt, a chain-level file of corpus-large size
+(64 columns, eight Moore rows, a [phi] block); and two spin products whose
+whole report follows from the product splitting (tests/test_products.py),
+s1_x_k3.txt (S^1 x K3) and genus2_x_s3.txt (a genus-two surface times
+S^3).  descriptors.human
 holds the human output of one batch of the six sample files, named
 relative to the repository root.  A refactor must leave every byte
 unchanged; a deliberate output change rewrites the files and says so.

@@ -16,6 +16,7 @@ from helpers import (
     reference_orbit,
     reference_phi_moves,
 )
+from susp5 import reduction
 from susp5.reduction import (
     AttachCase,
     DescriptorError,
@@ -269,6 +270,24 @@ def test_orbit_members_are_validated(monkeypatch):
     assert all(id(member) in built for member in orbit)
 
 
+def test_orbits_of_one_shape_share_their_rows():
+    # the row memo lives with the shape's search record, not with one call
+    first = enumerate_orbit(H([[1, 1], [0, 1]], [[1, 0]], [2]))
+    second = enumerate_orbit(H([[0, 0], [0, 0]], [[0, 1]], [2]))
+    rows = {row: row for m in first for row in m.sphere_rows + m.moore_rows}
+    pairs = [(rows[r], r) for m in second for r in m.sphere_rows + m.moore_rows if r in rows]
+    assert pairs and all(a is b for a, b in pairs)
+
+
+def test_one_search_record_per_matrix_shape():
+    reduction._h_search.cache_clear()
+    h = H([[1, 0, 1]], [[0, 1, 1], [1, 1, 1]], [3, 1])
+    legal_moves(h)
+    enumerate_orbit(h)
+    assert reduce_h_matrix(h).reduced == H([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]], [3, 1])
+    assert reduction._h_search.cache_info().misses == 1
+
+
 # -- residual attaching vector ------------------------------------------------
 
 
@@ -441,6 +460,16 @@ def test_phi_orbit_limit_and_validation(monkeypatch):
     assert all(id(member) in built for member in orbit)
 
 
+def test_phi_orbits_of_one_shape_share_their_bits():
+    # a lift and an eta on the same shape: two orbits, one memo of bits
+    first = enumerate_phi_orbit(phi(x=(1, 0), y=(0, 1), moore=(1, 0), exps=(2, 3)))
+    second = enumerate_phi_orbit(phi(x=(1, 0), y=(0, 1), moore=(0, 2), exps=(2, 3)))
+    assert first.isdisjoint(second)
+    xs = {(m.x, m.y, m.w): m.x for m in first}
+    pairs = [(xs[m.x, m.y, m.w], m.x) for m in second if (m.x, m.y, m.w) in xs]
+    assert pairs and all(a is b for a, b in pairs)
+
+
 # -- slot arithmetic against the map calculus ---------------------------------
 #
 # A Moore slot of exponent r holds a map S^5 -> P^4(2^r), written as
@@ -512,8 +541,11 @@ def _random_h(rng, max_cols, max_sphere, max_moore, max_exp=4):
     return H(rows[:d], rows[d:], [rng.randint(1, max_exp) for _ in range(t)])
 
 
-def _random_phi(rng, max_len, max_exp=4):
-    a, b, u, c = (rng.randint(0, max_len) for _ in range(4))
+def _random_phi(rng, max_len, max_exp=4, max_slots=None):
+    """Up to max_len three- and four-sphere bits, and up to max_slots Moore
+    slots and consumed pieces (max_len by default)."""
+    slots = max_len if max_slots is None else max_slots
+    a, b, u, c = (rng.randint(0, n) for n in (max_len, max_len, slots, slots))
     return phi(
         x=[rng.randint(0, 1) for _ in range(a)],
         y=[rng.randint(0, 1) for _ in range(b)],
@@ -539,6 +571,20 @@ def test_phi_moves_match_the_reference_table():
     for _ in range(2_000):
         p = _random_phi(rng, 4)
         assert phi_moves(p) == reference_phi_moves(p), p
+
+
+def test_phi_moves_keep_the_case_at_corpus_large_size():
+    # local invariance past the exhaustive sweeps: up to 12 + 12 sphere
+    # bits, 6 Moore slots and 6 consumed pieces, exponents 1..4
+    rng = random.Random(16)
+    for _ in range(300):
+        p = _random_phi(rng, 12, max_slots=6)
+        moves = phi_moves(p)
+        assert moves == reference_phi_moves(p), p
+        case = reduce_phi(p, smooth=False)
+        for m in moves:
+            moved = reduce_phi(m, smooth=False)
+            assert (moved.kind, moved.r) == (case.kind, case.r), (p, m)
 
 
 def test_orbits_match_a_search_over_the_reference_tables():
