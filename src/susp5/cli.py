@@ -377,9 +377,10 @@ def build_report(desc):
     Each wedge is built once and every invariant is read off it.  Every
     report runs the five consistency checks; each verdict is "ok" or
     "fail", but the cohomotopy crosscheck is skipped when the single
-    suspension does not split.  A first homology with three-torsion blocks
-    the single splitting: the report says why it is not split and still
-    gives the double suspension, which the homology and weight checks read.
+    suspension is not determined.  Three-primary torsion in H lies outside
+    the splitting theorem: the report leaves the single suspension out, says
+    why, and still gives the double suspension, which the homology and
+    weight checks read.
     """
     try:
         single, note = suspension_decomposition(desc), {}
@@ -411,7 +412,7 @@ def build_report(desc):
         "real_k_balance": "ko" in comps,
         "cohomotopy_crosscheck": None if single is None else comps["pi4_sigma"].group == p3,
     }
-    verdict = {True: "ok", False: "fail", None: "skipped (single suspension not split)"}
+    verdict = {True: "ok", False: "fail", None: "skipped (single suspension not determined)"}
 
     return {
         "input": _input(desc),
@@ -447,7 +448,7 @@ def render_human(report) -> str:
     if report["single_suspension"] is not None:
         lines.append(f"suspension:         {report['single_suspension']}")
     else:
-        lines.append(f"suspension:         not split ({report['single_suspension_note']})")
+        lines.append(f"suspension:         not determined ({report['single_suspension_note']})")
     lines.append(f"double suspension:  {report['double_suspension']}")
     lines.append("homology sections:")
     for k in ("w3", "w4", "w5"):

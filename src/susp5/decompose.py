@@ -50,7 +50,8 @@ from susp5.spaces import (
 
 
 class DecompositionError(ValueError):
-    """The requested decomposition does not exist for this input."""
+    """The program gives no decomposition of the requested kind for this
+    input."""
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,9 @@ class ManifoldDescriptor:
     def suspension_wedge(self) -> Wedge:
         """The count-table wedge of the suspension: l two-spheres, W5 and the
         top piece, less the W5 summand it absorbs (its section at degree 5);
-        built once.  With three-primary H this wedge is not the suspension
-        of M, but its suspension is still the double suspension."""
+        built once.  With three-primary H nothing here says whether this
+        wedge is the suspension of M, but its suspension is the double
+        suspension."""
         counts = dict(self.w5.runs)
         # W5 tops out in dimension 5, so neither S^2 nor the top piece is in it yet
         counts[sphere(2)] = self.l
@@ -234,14 +236,13 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
 def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
     """The wedge decomposition of the suspension of M.
 
-    Requires the odd linking torsion H to be three-primary-free: a
-    three-primary class in H obstructs splitting off its Moore space at
-    this stage (the obstruction dies after one more suspension).
+    Requires the odd linking torsion H to be three-primary-free: the
+    splitting theorem does not cover three-primary torsion in H, so for
+    such H this stage is not determined here (the suspension may still
+    split, as it does for L(3,1) x T^2).  The double suspension splits.
     """
     if desc.h1_torsion.has_3_torsion:
-        raise DecompositionError(
-            "three-primary classes in h1 obstruct the single-suspension splitting"
-        )
+        raise DecompositionError("three-primary torsion in H lies outside the splitting theorem")
     return desc.suspension_wedge
 
 

@@ -1,11 +1,12 @@
 """Stable invariants read off the suspension wedges.
 
 Reduced complex and real K-theory are evaluated summand by summand on the
-double suspension (the even shift is invisible to K by Bott periodicity;
-for KO we tabulate the degree-two groups, which are the ones that
-desuspend to degree zero on the original complex).  Each computation is
-checked against a closed form in the input invariants before it is
-returned, so a bad table entry fails loudly instead of propagating.
+double suspension (the even shift is invisible to K by Bott periodicity).
+K of a summand is read off its cells: it is the summand's even integral
+cohomology.  KO is tabulated in degree two, the degree that desuspends to
+degree zero on the original complex.  Each computation is checked against
+a closed form in the input invariants before it is returned, so a bad
+table entry fails loudly instead of propagating.
 
 The third cohomotopy group of the five-complex is produced in closed form
 per attachment case.  An independent crosscheck recomputes it as homotopy
@@ -83,37 +84,18 @@ class GroupComputation:
     runs: tuple[tuple[Contribution, int], ...]
 
 
-# -- per-summand tables ------------------------------------------------------
+# -- per-summand entries -----------------------------------------------------
 
 
 def k_of_summand(s: ElementaryComplex) -> FgAbGroup:
-    """Reduced complex K-theory of one double-suspension summand.
-
-    Everything here has cells in at most four dimensions, so the group is
-    read off the even-dimensional cells and the order of the attaching
-    maps in K-theory.
-    """
-    if s.kind == SPHERE:
-        return _Z if s.dim % 2 == 0 else _0
-    if s.kind == MOORE:
-        # top cell even: both K-classes survive onto a cyclic group of the
-        # attaching order; top cell odd: the two cells cancel.
-        return FgAbGroup.cyclic(s.order) if s.dim % 2 == 0 else _0
-    if s.kind == CHANG_ETA:
-        # the Hopf attachment is stably trivial in K, leaving both cells.
-        return FgAbGroup.free(2) if s.dim % 2 == 0 else _0
-    if s.kind == CHANG_R and s.dim == 6:
-        # cells 4,5,6: the middle pair cancels the torsion, one free class.
-        return _Z
-    if s.kind == CHANG_IP_ETA_LIFT and s.dim == 7:
-        return _Z
-    if s.kind == SPHERE_ETA_SQ and s.dim == 7:
-        return _Z
-    if s.kind == MOORE_ETA_LIFT and s.dim == 7:
-        return _0
-    if s.kind == MOORE_ETA_SQ and s.dim == 7:
-        return _0
-    raise UnsupportedSummand(f"no complex K-theory entry for {s.render()}")
+    """Reduced complex K-theory of one double-suspension summand: its even
+    integral cohomology, the free homology in even degrees and (by universal
+    coefficients) the torsion in odd ones.  Every attaching map but the
+    torsion degree is a multiple of eta, which is zero in K-theory, so the
+    Atiyah-Hirzebruch spectral sequence has no differential or extension."""
+    return direct_sum(
+        *(g for deg, g in s.reduced_homology().items() if (deg % 2 == 0) == (g.free_rank > 0))
+    )
 
 
 def ko_of_summand(s: ElementaryComplex) -> FgAbGroup:

@@ -6,15 +6,16 @@ from a single Hopf-map attachment, and the hybrid pieces obtained by gluing
 one extra top cell along a lifted Hopf map, its inclusion into a two-stage
 complex, or a squared Hopf map.
 
-Each variant is one `_Variant` record; cells, homology, weight and rendering
-are all read off it.  A summand is (kind, dim, order): order is the one
-torsion parameter, p^e for a Moore space, 2^r for a piece built on a
-2-primary Moore space, and 0 for none.  Moore spaces of composite order do
-not exist as single variants here; the factories split them into
-prime-power wedge summands immediately, which keeps wedge normal forms
-unique.  The factories, suspension and the top pieces of the decompositions
-go through one bounded memo, `summand`, so each distinct summand is built,
-validated and rendered once per process.
+Each variant is one `_Variant` record; cells, homology and rendering are
+all read off it, and the block weight is the number of homology groups.
+A summand is (kind, dim, order): order is the one torsion parameter, p^e
+for a Moore space, 2^r for a piece built on a 2-primary Moore space, and 0
+for none.  Moore spaces of composite order do not exist as single variants
+here; the factories split them into prime-power wedge summands
+immediately, which keeps wedge normal forms unique.  The factories,
+suspension and the top pieces of the decompositions go through one bounded
+memo, `summand`, so each distinct summand is built, validated and rendered
+once per process.
 """
 from __future__ import annotations
 
@@ -42,17 +43,16 @@ class _Variant:
     rank orders kinds of equal top dimension in a wedge; min_dim is the
     lowest allowed top dimension; param says which orders the kind allows
     (a key of _ORDERS); depths give each cell's distance below the top
-    cell, bottom cell first; weight is the block weight; template renders
-    the summand from n, order and r = log2(order); below is the variant left
-    without the top cell, or None where that is not one piece (a point, a
-    lone cell).
+    cell, bottom cell first, and so determine the homology and the block
+    weight; template renders the summand from n, order and r = log2(order);
+    below is the variant left without the top cell, or None where that is
+    not one piece (a point, a lone cell).
     """
 
     rank: int
     min_dim: int
     param: str | None
     depths: tuple[int, ...]
-    weight: int
     template: str
     below: str | None
 
@@ -65,18 +65,18 @@ _ORDERS = {
 }
 
 _VARIANTS = {
-    SPHERE: _Variant(0, 1, None, (0,), 1, "S^{n}", None),
-    MOORE: _Variant(1, 2, "p^e", (1, 0), 1, "P^{n}(Z/{order})", None),
-    CHANG_ETA: _Variant(2, 5, None, (2, 0), 2, "C^{n}_eta", SPHERE),
-    CHANG_R: _Variant(3, 5, "2^r", (2, 1, 0), 2, "C^{n}_{{r={r}}}", MOORE),
+    SPHERE: _Variant(0, 1, None, (0,), "S^{n}", None),
+    MOORE: _Variant(1, 2, "p^e", (1, 0), "P^{n}(Z/{order})", None),
+    CHANG_ETA: _Variant(2, 5, None, (2, 0), "C^{n}_eta", SPHERE),
+    CHANG_R: _Variant(3, 5, "2^r", (2, 1, 0), "C^{n}_{{r={r}}}", MOORE),
     # P^{n-2}(2^r) with a top n-cell attached along the lifted Hopf map
-    MOORE_ETA_LIFT: _Variant(4, 6, "2^r", (3, 2, 0), 2, "A^{n}(eta~_{r})", MOORE),
+    MOORE_ETA_LIFT: _Variant(4, 6, "2^r", (3, 2, 0), "A^{n}(eta~_{r})", MOORE),
     # C^{n-1}_r with a top n-cell attached along i_P composed with the lift
-    CHANG_IP_ETA_LIFT: _Variant(5, 6, "2^r", (3, 2, 1, 0), 3, "A^{n}(i_P eta~_{r})", CHANG_R),
+    CHANG_IP_ETA_LIFT: _Variant(5, 6, "2^r", (3, 2, 1, 0), "A^{n}(i_P eta~_{r})", CHANG_R),
     # S^{n-3} with a top n-cell attached along the squared Hopf map
-    SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), 2, "A^{n}(eta^2)", SPHERE),
+    SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), "A^{n}(eta^2)", SPHERE),
     # P^{n-2}(2^r) with a top n-cell attached along i composed with eta^2
-    MOORE_ETA_SQ: _Variant(7, 6, "2^r", (3, 2, 0), 2, "A^{n}(2^{r} eta^2)", MOORE),
+    MOORE_ETA_SQ: _Variant(7, 6, "2^r", (3, 2, 0), "A^{n}(2^{r} eta^2)", MOORE),
 }
 
 _Z = FgAbGroup.free(1)
@@ -164,8 +164,9 @@ class ElementaryComplex:
         return summand(v.below, self.dim - v.depths[-2], self.order).section(k)
 
     def weight(self) -> int:
-        """Block weight: 1 for one-stage pieces, 2 for two-stage, 3 for three."""
-        return _VARIANTS[self.kind].weight
+        """Block weight: the number of nonzero homology groups, one per cell
+        but the one the torsion boundary cancels (1, 2 or 3 stages)."""
+        return len(self._homology)
 
     # -- rendering ----------------------------------------------------------
 

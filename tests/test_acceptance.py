@@ -290,10 +290,12 @@ def test_criterion_5_exhaustive_matrix_reduction():
 
 
 def test_criterion_5_at_four_columns():
-    # Every shape of criterion 5 at 4 columns.  Each orbit's start state is
-    # reduced and its rank flag read (helpers.flag_dimensions): the greedy
-    # (c1, c2) must be the flag's prediction, and distinct orbits of a shape
-    # must have distinct flags, so the flag is a complete invariant here.
+    # Every shape of criterion 5 at 4 columns.  Every state is reduced: the
+    # greedy normal form must lie in the state's orbit, and (c1, c2) and the
+    # consumed exponents must be constant on the orbit.  Each orbit's rank
+    # flag is read (helpers.flag_dimensions): the orbit's (c1, c2) must be
+    # the flag's prediction, and distinct orbits of a shape must have
+    # distinct flags, so the flag is a complete invariant here.
     start = time.monotonic()
     cols = 4
     all_rows = list(product((0, 1), repeat=cols))
@@ -316,11 +318,18 @@ def test_criterion_5_at_four_columns():
                         seen.update((m.sphere_rows, m.moore_rows) for m in orbit)
                         state_count += len(orbit)
                         orbits += 1
+                        outcomes = set()
+                        for member in orbit:
+                            res = reduce_h_matrix(member)
+                            assert res.reduced in orbit, member
+                            consumed_exps = tuple(sorted(exps[j] for j in res.consumed))
+                            outcomes.add((res.c1, res.c2, consumed_exps))
+                        assert len(outcomes) == 1, h
+                        c1, c2, _ = outcomes.pop()
                         dims = flag_dimensions(h)
                         flags.add(tuple(sorted(dims.items())))
                         top = len(dims)  # V_top is V_infinity
-                        res = reduce_h_matrix(h)
-                        assert (res.c1, res.c2) == (dims[top], dims[1] - dims[top]), h
+                        assert (c1, c2) == (dims[top], dims[1] - dims[top]), h
                 assert len(seen) == len(all_rows) ** (nsphere + nmoore)
                 assert len(flags) == orbits, (nsphere, exps)
                 orbit_count += orbits
@@ -328,7 +337,7 @@ def test_criterion_5_at_four_columns():
     assert (orbit_count, state_count) == (312, 167_232)
     assert elapsed < 60.0
     print(
-        f"ACCEPTANCE 5 at 4 columns (rank flag, complete): PASS"
+        f"ACCEPTANCE 5 at 4 columns (every state, rank flag complete): PASS"
         f" ({state_count} matrices in {orbit_count} orbits, {elapsed:.1f}s)"
     )
 
@@ -445,8 +454,8 @@ def test_criterion_7_double_suspension_consistency():
         assert double == single.suspend(), name
         # a second route: the reference list, one suspended entry per summand
         assert double == wedge(*(p.suspend() for p in reference_single_parts(d0))), name
-    # Three-primary torsion in degree one blocks the single suspension but
-    # not the double one.
+    # Three-primary torsion in degree one leaves the single suspension
+    # undetermined, but the double one splits.
     blocked = desc(2, 1, H="Z/3 + Z/5")
     with pytest.raises(DecompositionError):
         suspension_decomposition(blocked)

@@ -37,7 +37,7 @@ from susp5.spaces import ElementaryComplex, Wedge
 
 MINIMAL = "l = 1\nd = 1\nspin = true\n"
 
-# three-primary H, so the single suspension does not split
+# three-primary H, so the single suspension is not determined
 THREE_PRIMARY_ETA = (Path(__file__).parent / "golden" / "three_primary_eta.txt").read_text(
     encoding="utf-8"
 )
@@ -714,11 +714,11 @@ def test_missing_file_exit(tmp_path):
 
 
 def test_three_torsion_is_reported_not_split(tmp_path):
-    """Three-primary H blocks the single splitting of a valid manifold: the
-    report says why, and still gives the double suspension, as one file or
-    in a batch."""
+    """Three-primary H lies outside the splitting theorem: the report says
+    the single suspension is not determined and why, and still gives the
+    double suspension, as one file or in a batch."""
     text = "l = 1\nd = 1\nH = Z/3\nspin = true\n"
-    note = "three-primary classes in h1 obstruct the single-suspension splitting"
+    note = "three-primary torsion in H lies outside the splitting theorem"
     buf = io.StringIO()
     assert run(RunConfig(fmt="structured"), stdin=io.BytesIO(text.encode()), stdout=buf) == 0
     report = json.loads(buf.getvalue())
@@ -734,9 +734,9 @@ def test_three_torsion_is_reported_not_split(tmp_path):
         assert run(RunConfig(paths=paths), stdout=out, stderr=err) == 0
         assert err.getvalue() == ""
         for line in (
-            f"suspension:         not split ({note})\n",
+            f"suspension:         not determined ({note})\n",
             f"double suspension:  {report['double_suspension']}\n",
-            "  cohomotopy_crosscheck: skipped (single suspension not split)\n",
+            "  cohomotopy_crosscheck: skipped (single suspension not determined)\n",
         ):
             assert out.getvalue().count(line) == len(paths), line
 

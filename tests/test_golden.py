@@ -4,9 +4,9 @@ Each input has one golden report per format: tests/golden/<name>.json holds
 its `--format structured` output and tests/golden/<name>.human its default
 human output, as written by the release the files were recorded from.  The
 inputs are the six sample descriptors in scripts/descriptors and the files
-tests/golden/*.txt: three_primary_eta.txt, whose three-primary H blocks the
-single splitting, so that its report builds the double suspension without
-the single one; large_chain.txt, a chain-level file of corpus-large size
+tests/golden/*.txt: three_primary_eta.txt, whose three-primary H leaves
+the single splitting undetermined, so that its report builds the double
+suspension without the single one; large_chain.txt, a chain-level file of corpus-large size
 (64 columns, eight Moore rows, a [phi] block); and two spin products whose
 whole report follows from the product splitting (tests/test_products.py),
 s1_x_k3.txt (S^1 x K3) and genus2_x_s3.txt (a genus-two surface times

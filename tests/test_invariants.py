@@ -63,8 +63,12 @@ def desc(l=1, d=1, H="0", T="0", spin=True, smooth=True, **kw):
 
 
 def test_k_table_entries():
+    assert k_of_summand(sphere(3)) == G("0")
     assert k_of_summand(sphere(4)) == G("Z")
     assert k_of_summand(sphere(5)) == G("0")
+    assert k_of_summand(sphere(6)) == G("Z")
+    assert k_of_summand(sphere(7)) == G("0")
+    assert k_of_summand(P(4, 25)) == G("Z/25")
     assert k_of_summand(P(6, 9)) == G("Z/9")
     assert k_of_summand(P(5, 4)) == G("0")
     assert k_of_summand(chang_eta(6)) == G("Z^2")
@@ -74,8 +78,8 @@ def test_k_table_entries():
     assert k_of_summand(summand(MOORE_ETA_LIFT, 7, 4)) == G("0")
     assert k_of_summand(summand(SPHERE_ETA_SQ, 7, 0)) == G("Z")
     assert k_of_summand(summand(MOORE_ETA_SQ, 7, 8)) == G("0")
-    with pytest.raises(UnsupportedSummand):
-        k_of_summand(chang_r(5, 2))
+    # eta is zero in K-theory, so K(C^5_r) = K(P^4(2^r))
+    assert k_of_summand(chang_r(5, 2)) == G("Z/4")
 
 
 def test_ko_table_entries():
@@ -155,12 +159,13 @@ def test_k_and_ko_reject_the_double_suspension_of_another_descriptor():
 
 
 def test_k_group_rejects_the_single_suspension():
-    # C^5_r and the top piece have K-table entries only one dimension up
+    # one suspension short, the cells give K~^1 of M: here Z^4 + Z/4, not Z^3
     d0 = desc(
         l=2, T="Z/4", spin=False, c2=1, consumed=(0,), case=AttachCase("ip_tilde_eta", 0)
     )
-    with pytest.raises(UnsupportedSummand):
+    with pytest.raises(BalanceError) as exc:
         k_group(d0, suspension_decomposition(d0))
+    assert exc.value.expected == k_closed_form(d0) == G("Z^3")
 
 
 def test_k_group_trace_lists_every_summand():
