@@ -37,6 +37,16 @@ def smith_normal_form(a: list[list[int]] | tuple) -> tuple[Matrix, Matrix, Matri
     entries of d nonnegative and d[0][0] | d[1][1] | ... .  Arbitrary
     precision, any shape, empty matrices included.
 
+    Each step moves the smallest nonzero entry of the trailing submatrix to
+    the pivot.  Row moves clear the pivot column, each quotient rounded to
+    the nearest integer so that a remainder is at most half the pivot;
+    while one remains, the pivot is picked again.  Then column moves clear
+    the pivot row, and as the column is clear below the pivot they change
+    the pivot row of d alone.  Rows of d and u change as whole lists; v is
+    accumulated by its columns, so a column move on v is one list update
+    too, and v is transposed once at the end.  d is unique; u and v depend
+    on the order of moves, and any order meets the contract above.
+
     >>> d, u, v = smith_normal_form([[2, 4], [6, 8]])
     >>> (d[0][0], d[1][1])
     (2, 4)
@@ -49,84 +59,61 @@ def smith_normal_form(a: list[list[int]] | tuple) -> tuple[Matrix, Matrix, Matri
         raise ValueError("ragged matrix")
     d = [list(map(int, row)) for row in a]
     u = _identity(m)
-    v = _identity(n)
-
-    def add_row(i: int, k: int, q: int) -> None:
-        # row_i -= q * row_k, mirrored in u so that u*a*v == d stays exact
-        for j in range(n):
-            d[i][j] -= q * d[k][j]
-        for j in range(m):
-            u[i][j] -= q * u[k][j]
-
-    def add_col(j: int, k: int, q: int) -> None:
-        for i in range(m):
-            d[i][j] -= q * d[i][k]
-        for i in range(n):
-            v[i][j] -= q * v[i][k]
-
-    def swap_rows(i: int, k: int) -> None:
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in d:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+    vt = _identity(n)  # row j is column j of v
 
     t = 0
     while t < min(m, n):
-        # smallest nonzero pivot in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
+        # smallest nonzero pivot in the trailing submatrix, first in row order
+        flat = [abs(x) for row in d[t:] for x in row[t:]]
+        best = min(filter(None, flat), default=0)
+        if not best:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        pi, pj = divmod(flat.index(best), n - t)
+        d[t], d[t + pi] = d[t + pi], d[t]
+        u[t], u[t + pi] = u[t + pi], u[t]
+        if pj:
+            for row in d[t:]:  # rows above t are zero in these columns
+                row[t], row[t + pj] = row[t + pj], row[t]
+            vt[t], vt[t + pj] = vt[t + pj], vt[t]
 
-        p = d[t][t]
+        # row_i -= q * row_t, mirrored in u so that u*a*v == d stays exact;
+        # q is the nearest integer to d[i][t] / p
+        top, ut, p = d[t], u[t], d[t][t]
         dirty = False
         for i in range(t + 1, m):
-            if d[i][t] != 0:
-                add_row(i, t, d[i][t] // p)
-                dirty = dirty or d[i][t] != 0
-        for j in range(t + 1, n):
-            if d[t][j] != 0:
-                add_col(j, t, d[t][j] // p)
-                dirty = dirty or d[t][j] != 0
+            q = (2 * d[i][t] + p) // (2 * p)
+            if q:
+                d[i] = row = [x - q * y for x, y in zip(d[i], top)]
+                u[i] = [x - q * y for x, y in zip(u[i], ut)]
+                dirty = dirty or row[t]
         if dirty:
-            continue  # a remainder smaller than |p| appeared, re-pick pivot
+            continue  # a remainder of at most |p| / 2 is left: pick again
+        # column_j -= q * column_t: the column is clear below the pivot, so
+        # on d this changes row t alone
+        for j in range(t + 1, n):
+            q = (2 * top[j] + p) // (2 * p)
+            if q:
+                top[j] -= q * p
+                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+        if any(top[t + 1 :]):
+            continue
 
         # pivot must divide the rest of the submatrix for the chain d1|d2|...
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % p != 0:
-                    bad = i
-                    break
+        # (a unit pivot always does)
+        if best > 1:
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, -1)  # pull the offending row up, then re-reduce
-            continue
+                # pull the offending row up, then re-reduce
+                d[t] = [x + y for x, y in zip(top, d[bad])]
+                u[t] = [x + y for x, y in zip(ut, u[bad])]
+                continue
         t += 1
 
     for i in range(min(m, n)):
         if d[i][i] < 0:
-            negate_row(i)
-    return d, u, v
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
+    return d, u, [list(col) for col in zip(*vt)]
 
 
 # Trial division runs up to this bound; a cofactor with no factor up to it

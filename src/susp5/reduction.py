@@ -65,9 +65,10 @@ class HMatrix:
             # count() compares with ==, as `in (0, 1)` does: True and 1.0 pass
             if row.count(0) + row.count(1) != len(row):
                 raise DescriptorError("matrix entries must be 0 or 1")
-        if len(self.moore_exponents) != len(self.moore_rows):
+        exps = self.moore_exponents
+        if len(exps) != len(self.moore_rows):
             raise DescriptorError("one exponent per Moore row required")
-        if any(e < 1 for e in self.moore_exponents):
+        if exps and min(exps) < 1:
             raise DescriptorError("Moore exponents must be at least 1")
 
     @property
@@ -77,11 +78,16 @@ class HMatrix:
         return 0
 
 
-def _pack_rows(h: HMatrix, cols: int) -> list[int]:
-    """Rows of h (cols columns) as bitmasks, sphere rows first; bit c is
-    column c."""
-    powers = [1 << c for c in range(cols)]
-    return [sum(compress(powers, row)) for row in h.sphere_rows + h.moore_rows]
+@lru_cache(maxsize=256)
+def _row_mask(row: tuple) -> int:
+    """A matrix row as a bitmask; bit c is column c."""
+    return sum(1 << c for c, x in enumerate(row) if x)
+
+
+def _pack_rows(h: HMatrix) -> list[int]:
+    """Rows of h as bitmasks, sphere rows first (a row given as a list is
+    looked up by its tuple)."""
+    return [_row_mask(tuple(row)) for row in (*h.sphere_rows, *h.moore_rows)]
 
 
 def _shape(h: HMatrix) -> tuple[int, tuple[int, ...], int]:
@@ -94,11 +100,14 @@ def _shape(h: HMatrix) -> tuple[int, tuple[int, ...], int]:
 
 
 def _join_rows(rows, cols: int) -> int:
-    return sum(m << (i * cols) for i, m in enumerate(rows))
+    state = 0
+    for m in reversed(rows):
+        state = state << cols | m
+    return state
 
 
 def _h_state(h: HMatrix, cols: int) -> int:
-    return _join_rows(_pack_rows(h, cols), cols)
+    return _join_rows(_pack_rows(h), cols)
 
 
 @lru_cache(maxsize=64)
@@ -148,8 +157,8 @@ def _h_search(d: int, exps: tuple[int, ...], cols: int):
         return tuple((m >> c) & 1 for c in range(cols))
 
     def unpack(state: int) -> HMatrix:
-        rows = [bits((state >> o) & row) for o in offsets]
-        return HMatrix(tuple(rows[:d]), tuple(rows[d:]), exps)
+        rows = tuple([bits((state >> o) & row) for o in offsets])
+        return HMatrix(rows[:d], rows[d:], exps)
 
     def successors(s: int) -> list[int]:
         t = s << lift
@@ -216,6 +225,13 @@ class ReductionResult:
         return _h_search(*self.shape)[0](self.state)
 
 
+@lru_cache(maxsize=64)
+def _claim_order(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Moore rows in the order they claim columns: by decreasing exponent,
+    ties by position."""
+    return tuple(sorted(range(len(exps)), key=exps.__getitem__, reverse=True))
+
+
 def reduce_h_matrix(h: HMatrix) -> ReductionResult:
     """Greedy normal form.
 
@@ -226,66 +242,60 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
     position), which keeps every clearing row-move legal; c2 counts the
     claimed pivots and `consumed` lists the claiming rows by original index.
 
-    Rows are packed as in the orbit search, so a row move is one XOR and
-    clearing a pivot row's other columns is one masked XOR on every row
-    that holds the pivot bit.
+    Rows are packed as in the orbit search, so a row move is one XOR.  The
+    column moves that clear a pivot row change only the rows that hold the
+    pivot bit: on a Moore row they and the row move of phase two add up to
+    adding the whole pivot row, and in phase three the claiming row is the
+    only row left holding its bit.
     """
     shape = _shape(h)
     d, exps, cols = shape
-    rows = _pack_rows(h, cols)
+    rows = _pack_rows(h)
     n = len(rows)
-
-    def clear_row(i: int, bit: int) -> None:
-        # column c += pivot column, for every other column c of row i
-        mask = rows[i] & ~bit
-        for k in range(n):
-            if rows[k] & bit:
-                rows[k] ^= mask
 
     pivots: list[tuple[int, int]] = []
     unpivoted = list(range(d))
     for col in range(cols):
         bit = 1 << col
-        pr = next((i for i in unpivoted if rows[i] & bit), None)
-        if pr is None:
+        for pr in unpivoted:
+            if rows[pr] & bit:
+                break
+        else:
             continue
         pivots.append((pr, bit))
         unpivoted.remove(pr)
         for i in range(d):
             if i != pr and rows[i] & bit:
                 rows[i] ^= rows[pr]
-    for pr, bit in pivots:
-        clear_row(pr, bit)
-
+    # a Moore row holding a pivot bit gains the rest of the pivot row by the
+    # column moves and loses the bit by a row move: it gains the pivot row
     for j in range(d, n):
         for pr, bit in pivots:
             if rows[j] & bit:
                 rows[j] ^= rows[pr]
+    for pr, bit in pivots:
+        rows[pr] = bit
 
-    claimed = sum(bit for _, bit in pivots)
+    # no Moore row holds a claimed column, so its lowest bit is its lowest
+    # free column
     consumed: list[int] = []
-    order = sorted(range(d, n), key=lambda j: -exps[j - d])  # stable: ties by position
-    for j in order:
-        free = rows[j] & ~claimed
-        if not free:
+    for j in _claim_order(tuple(exps)):
+        row = rows[d + j]
+        if not row:
             continue
-        bit = free & -free  # the lowest free column
-        consumed.append(j - d)
-        claimed |= bit
+        bit = row & -row
+        consumed.append(j)
         for k in range(d, n):
-            if k != j and rows[k] & bit:
-                # processed rows are already single-pivot, so k is later in
-                # the order and has exponent at most that of j: legal move
-                rows[k] ^= rows[j]
-        clear_row(j, bit)
+            if rows[k] & bit:
+                # processed rows are already single-pivot, so k is j itself
+                # or later in the order, with exponent at most that of j:
+                # legal move
+                rows[k] ^= row
+        rows[d + j] = bit
 
-    return ReductionResult(
-        c1=len(pivots),
-        c2=len(consumed),
-        consumed=tuple(sorted(consumed)),
-        state=_join_rows(rows, cols),
-        shape=shape,
-    )
+    consumed.sort()
+    state = _join_rows(rows, cols)
+    return ReductionResult(len(pivots), len(consumed), tuple(consumed), state, shape)
 
 
 # -- residual attaching vector ------------------------------------------------
@@ -317,23 +327,13 @@ class PhiVector:
             raise DescriptorError("sphere and w components must be 0 or 1")
         if slots.count(0) + slots.count(1) + slots.count(2) + slots.count(3) != len(slots):
             raise DescriptorError("Moore slot values must lie in 0..3")
-        if len(self.moore) != len(self.moore_exponents):
+        if len(slots) != len(self.moore_exponents):
             raise DescriptorError("one exponent per Moore slot required")
         if len(self.w) != len(self.consumed_exponents):
             raise DescriptorError("one exponent per consumed slot required")
-        if any(e < 1 for e in self.moore_exponents + self.consumed_exponents):
+        exps = self.moore_exponents + self.consumed_exponents
+        if exps and min(exps) < 1:
             raise DescriptorError("exponents must be at least 1")
-
-
-def _z_active(phi: PhiVector, i: int) -> bool:
-    return phi.moore[i] % 2 == 1
-
-
-def _eps_active(phi: PhiVector, i: int) -> bool:
-    c = phi.moore[i]
-    if phi.moore_exponents[i] == 1:
-        return c == 2
-    return c >= 2
 
 
 @dataclass(frozen=True)
@@ -361,33 +361,39 @@ def reduce_phi(phi: PhiVector, smooth: bool) -> AttachCase:
     free three-sphere; otherwise an included eta^2 on the slot of maximal
     exponent.  Smooth input cannot carry eta^2-type components at all.
     """
+    R, S = phi.moore_exponents, phi.consumed_exponents
+    # the included eta^2 (slot value 2, or at exponent above one also 3) of
+    # maximal exponent, lowest index first
+    eps = None
+    for i, c in enumerate(phi.moore):
+        if (c == 2 if R[i] == 1 else c >= 2) and (eps is None or R[i] > eps[0]):
+            eps = (R[i], i)
     if smooth:
         if any(phi.x):
             raise DescriptorError("eta^2 components are not allowed for smooth input", "x")
-        if any(_eps_active(phi, i) for i in range(len(phi.moore))):
+        if eps:
             raise DescriptorError(
                 "included eta^2 components are not allowed for smooth input", "eps"
             )
-    z_cand = [
-        (phi.moore_exponents[i], 0, i)
-        for i in range(len(phi.moore))
-        if _z_active(phi, i)
-    ]
-    w_cand = [
-        (phi.consumed_exponents[j], 1, j) for j in range(len(phi.w)) if phi.w[j]
-    ]
-    if z_cand or w_cand:
-        r, tag, idx = min(z_cand + w_cand)
-        return AttachCase("tilde_eta" if tag == 0 else "ip_tilde_eta", idx, r)
+    # the lifted eta class (an odd slot value, or a w bit) of minimal
+    # exponent, unconsumed first, lowest index first
+    lift = None
+    for i, c in enumerate(phi.moore):
+        if c % 2 == 1 and (lift is None or R[i] < lift[0]):
+            lift = (R[i], "tilde_eta", i)
+    for j, b in enumerate(phi.w):
+        if b and (lift is None or S[j] < lift[0]):
+            lift = (S[j], "ip_tilde_eta", j)
+    if lift:
+        r, kind, idx = lift
+        return AttachCase(kind, idx, r)
     if any(phi.y):
         return AttachCase("eta")
     if any(phi.x):
         return AttachCase("eta_sq")
-    eps = [i for i in range(len(phi.moore)) if _eps_active(phi, i)]
     if eps:
-        r_max = max(phi.moore_exponents[i] for i in eps)
-        idx = min(i for i in eps if phi.moore_exponents[i] == r_max)
-        return AttachCase("i_eta_sq", idx, r_max)
+        r, idx = eps
+        return AttachCase("i_eta_sq", idx, r)
     return AttachCase("null")
 
 

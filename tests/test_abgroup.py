@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -99,6 +100,60 @@ class TestSmithNormalForm:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
+
+
+def _seeded_matrix(m, n, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-50, 50) for _ in range(n)] for _ in range(m)]
+
+
+def _rank(a) -> int:
+    """Rank over the rationals, by exact elimination."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _rank_deficient_40x40():
+    """30 seeded rows and 10 sums and differences of pairs of them."""
+    rng = random.Random(40)
+    rows = _seeded_matrix(30, 40, 30)
+    for _ in range(10):
+        i, k = rng.sample(range(30), 2)
+        sign = rng.choice((1, -1))
+        rows.append([x + sign * y for x, y in zip(rows[i], rows[k])])
+    rng.shuffle(rows)
+    return rows
+
+
+# The sizes of the oracle-sweep benchmark's largest Smith normal form cases,
+# where the transforms grow to thousands of bits.
+@pytest.mark.parametrize(
+    "a, rank",
+    [
+        (_seeded_matrix(24, 30, 24), 24),
+        (_seeded_matrix(32, 36, 32), 32),
+        (_seeded_matrix(40, 40, 40), 40),
+        (_rank_deficient_40x40(), 30),
+    ],
+    ids=["24x30", "32x36", "40x40", "40x40-rank-30"],
+)
+def test_smith_normal_form_at_sweep_sizes(a, rank):
+    diag = check_snf_laws(a)
+    assert diag[0] == math.gcd(*(x for row in a for x in row))
+    assert _rank(a) == rank
+    assert sum(1 for x in diag if x) == rank
+    if len(a) == len(a[0]) == rank:
+        assert math.prod(diag) == abs(helpers.det_int(a))
 
 
 class TestPresentations:

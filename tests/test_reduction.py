@@ -1,8 +1,10 @@
 """Incidence-matrix and residual-attaching-vector normal forms."""
 
+import hashlib
 import random
 import re
 from collections import Counter
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -41,15 +43,53 @@ def H(sphere, moore, exps):
     )
 
 
+UNEQUAL = "^rows of unequal length$"
+NOT_0_OR_1 = "^matrix entries must be 0 or 1$"
+ONE_EXPONENT = "^one exponent per Moore row required$"
+EXPONENT_AT_LEAST_1 = "^Moore exponents must be at least 1$"
+
+
+# One input per check, then inputs that break two checks at once: the
+# first check in this order is the one reported.
+INVALID_MATRICES = [
+    ([[1, 0]], [[1]], [1], UNEQUAL),
+    ([[1, 0], [1]], [], [], UNEQUAL),
+    ([], [[0, 1], [1]], [1, 1], UNEQUAL),
+    # the same entry count as two rows of three
+    ([[0, 1], [1, 0, 0, 1]], [], [], UNEQUAL),
+    ([[0, 1]], [[1, 0, 0, 1]], [1], UNEQUAL),
+    ([[2]], [], [], NOT_0_OR_1),
+    ([], [[1]], [], ONE_EXPONENT),
+    ([], [], [1], ONE_EXPONENT),
+    ([[1]], [[1], [0]], [1], ONE_EXPONENT),
+    ([], [[1]], [0], EXPONENT_AT_LEAST_1),
+    ([[1]], [[1], [0], [1]], [0, 1, 1], EXPONENT_AT_LEAST_1),
+    ([[1]], [[1], [0], [1]], [1, 0, 1], EXPONENT_AT_LEAST_1),
+    ([[1]], [[1], [0], [1]], [1, 1, 0], EXPONENT_AT_LEAST_1),
+    ([[1]], [[1], [0], [1]], [2, 3, -1], EXPONENT_AT_LEAST_1),
+    ([[2, 0]], [[1]], [1], UNEQUAL),
+    ([[1, 0]], [[1]], [], UNEQUAL),
+    ([[2]], [[1]], [], NOT_0_OR_1),
+    ([[1]], [[3]], [0], NOT_0_OR_1),
+    ([], [[1]], [0, 0], ONE_EXPONENT),
+]
+
+
 def test_validation():
-    with pytest.raises(DescriptorError):
-        H([[1, 0]], [[1]], [1])
-    with pytest.raises(DescriptorError):
-        H([[2]], [], [])
-    with pytest.raises(DescriptorError):
-        H([], [[1]], [])
-    with pytest.raises(DescriptorError):
-        H([], [[1]], [0])
+    for sphere, moore, exps, message in INVALID_MATRICES:
+        with pytest.raises(DescriptorError, match=message):
+            H(sphere, moore, exps)
+
+
+def test_rows_given_as_lists():
+    h = HMatrix([[1, 0], [1, 1]], [[0, 1]], [2])
+    assert (h.num_columns, reduce_h_matrix(h).c1) == (2, 2)
+    with pytest.raises(DescriptorError, match=UNEQUAL):
+        HMatrix([[1, 0]], [[0, 1, 1]], [2])
+    with pytest.raises(DescriptorError, match=NOT_0_OR_1):
+        HMatrix([[1, 0]], [[0, 2]], [2])
+    with pytest.raises(DescriptorError, match=EXPONENT_AT_LEAST_1):
+        HMatrix([[1, 0]], [[0, 1]], [0])
 
 
 NOT_BITS = pytest.mark.parametrize("bad", [2, -1, "1", None], ids=repr)
@@ -302,13 +342,51 @@ def phi(x=(), y=(), moore=(), exps=(), w=(), cons=()):
     )
 
 
+NOT_BIT = "^sphere and w components must be 0 or 1$"
+NOT_SLOT = "^Moore slot values must lie in 0..3$"
+ONE_PER_SLOT = "^one exponent per Moore slot required$"
+ONE_PER_CONSUMED = "^one exponent per consumed slot required$"
+PHI_EXPONENT = "^exponents must be at least 1$"
+
+
+# As INVALID_MATRICES: one input per check, then two checks broken at once.
+INVALID_VECTORS = [
+    (dict(x=(2,)), NOT_BIT),
+    (dict(moore=(4,), exps=(1,)), NOT_SLOT),
+    (dict(moore=(1,), exps=()), ONE_PER_SLOT),
+    (dict(exps=(1,)), ONE_PER_SLOT),
+    (dict(w=(1,)), ONE_PER_CONSUMED),
+    (dict(w=(1, 0), cons=(2,)), ONE_PER_CONSUMED),
+    (dict(cons=(1,)), ONE_PER_CONSUMED),
+    (dict(moore=(0, 1), exps=(0, 1), w=(1,), cons=(1,)), PHI_EXPONENT),
+    (dict(moore=(0, 1), exps=(1, 0), w=(1,), cons=(1,)), PHI_EXPONENT),
+    (dict(moore=(0, 1), exps=(1, 1), w=(1, 1), cons=(0, 1)), PHI_EXPONENT),
+    (dict(moore=(0, 1), exps=(1, 1), w=(1, 1), cons=(1, 0)), PHI_EXPONENT),
+    (dict(moore=(2,), exps=(-3,)), PHI_EXPONENT),
+    (dict(x=(2,), moore=(4,), exps=(1,)), NOT_BIT),
+    (dict(w=(5,)), NOT_BIT),
+    (dict(moore=(4,), exps=()), NOT_SLOT),
+    (dict(moore=(1,), exps=(), w=(1,)), ONE_PER_SLOT),
+    (dict(moore=(1,), exps=(1, 0)), ONE_PER_SLOT),
+    (dict(w=(1,), cons=(0, 1)), ONE_PER_CONSUMED),
+]
+
+
 def test_phi_validation():
-    with pytest.raises(DescriptorError):
-        phi(x=(2,))
-    with pytest.raises(DescriptorError):
-        phi(moore=(4,), exps=(1,))
-    with pytest.raises(DescriptorError):
-        phi(moore=(1,), exps=())
+    for kwargs, message in INVALID_VECTORS:
+        with pytest.raises(DescriptorError, match=message):
+            phi(**kwargs)
+
+
+def test_phi_components_given_as_lists():
+    v = PhiVector([0], [1], [2], [2], [0], [1])
+    assert reduce_phi(v, smooth=False) == AttachCase("eta")
+    with pytest.raises(DescriptorError, match=NOT_BIT):
+        PhiVector([0], [2], [2], [2], [0], [1])
+    with pytest.raises(DescriptorError, match=ONE_PER_CONSUMED):
+        PhiVector([0], [1], [2], [2], [0], [])
+    with pytest.raises(DescriptorError, match=PHI_EXPONENT):
+        PhiVector([0], [1], [2], [0], [0], [1])
 
 
 @NOT_BITS
@@ -595,3 +673,63 @@ def test_orbits_match_a_search_over_the_reference_tables():
     for _ in range(60):
         p = _random_phi(rng, 2)
         assert enumerate_phi_orbit(p) == reference_orbit(p, reference_phi_moves), p
+
+
+# -- both greedy forms over every state of the exhaustive sweep ----------------
+#
+# The shapes are those of the oracle-sweep benchmark: matrices of 1..3
+# columns and 1..3 rows in all with Moore exponents 1..3, and attaching
+# vectors of 1..4 components with exponents 1..3.  Each digest covers every
+# state of every shape, in product order, so a change to either greedy form
+# that moves one end state, invariant or case shows here.  The digests were
+# recorded from the greedy forms these tests were written against.
+
+H_SWEEP_SHA256 = "482b4d2eb7ebfdf5e71e1457faff6e21fa7a1224ed5ae71cb50d6adfc462bf20"
+PHI_SWEEP_SHA256 = "7d2ae715aa11153a0d2d97d62afd27495a7eaadb6decf930f29e0af82d94cc5a"
+
+
+def _sweep_matrices():
+    for cols in (1, 2, 3):
+        rows = list(product((0, 1), repeat=cols))
+        for nsphere in range(4):
+            for nmoore in range(4 - nsphere):
+                for exps in product((1, 2, 3), repeat=nmoore):
+                    if nsphere + nmoore:
+                        for sphere in product(rows, repeat=nsphere):
+                            for moore in product(rows, repeat=nmoore):
+                                yield (cols, nsphere, exps), HMatrix(sphere, moore, exps)
+
+
+def _sweep_vectors():
+    for a, b, u, c in product(range(5), repeat=4):
+        if 1 <= a + b + u + c <= 4:
+            for R in combinations_with_replacement((1, 2, 3), u):
+                for S in combinations_with_replacement((1, 2, 3), c):
+                    for x, y, moore, w in product(
+                        product((0, 1), repeat=a),
+                        product((0, 1), repeat=b),
+                        product(range(4), repeat=u),
+                        product((0, 1), repeat=c),
+                    ):
+                        yield PhiVector(x, y, moore, R, w, S)
+
+
+def test_greedy_matrix_form_over_every_sweep_state():
+    digest, count = hashlib.sha256(), 0
+    for shape, h in _sweep_matrices():
+        res = reduce_h_matrix(h)
+        digest.update(repr((shape, res.c1, res.c2, res.consumed, res.state)).encode())
+        count += 1
+    assert count == 24508
+    assert digest.hexdigest() == H_SWEEP_SHA256
+
+
+def test_greedy_vector_form_over_every_sweep_state():
+    digest, count = hashlib.sha256(), 0
+    for v in _sweep_vectors():
+        case = reduce_phi(v, smooth=False)
+        digest.update(repr((case.kind, case.index, case.r)).encode())
+        count += 1
+    assert count == 23378
+    assert digest.hexdigest() == PHI_SWEEP_SHA256
+
