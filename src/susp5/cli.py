@@ -27,7 +27,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 from susp5.abgroup import ORDER_BOUND, FgAbGroup, OrderRangeError, int_below
@@ -380,7 +379,8 @@ def build_report(desc):
     suspension is not determined.  Three-primary torsion in H lies outside
     the splitting theorem: the report leaves the single suspension out, says
     why, and still gives the double suspension, which the homology and
-    weight checks read.
+    weight checks read.  Every list in the report is fresh, so no report
+    shares mutable state with another report or with a memo.
     """
     try:
         single, note = suspension_decomposition(desc), {}
@@ -474,13 +474,6 @@ def render_human(report) -> str:
 # -- driver ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    paths: tuple[str, ...] = ()
-    fmt: str = "human"
-    out: str | None = None
-
-
 def _decode(data: bytes, source: str) -> str:
     """The text of one input; a byte that is not UTF-8 is a syntax error
     at its line and column."""
@@ -492,24 +485,25 @@ def _decode(data: bytes, source: str) -> str:
         raise ParseError("syntax", msg, source, line, col) from None
 
 
-def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
+def run(paths=(), fmt="human", out=None, stdin=None, stdout=None, stderr=None) -> int:
     """Process every input; 0 = clean, 1 = failed check, 2 = bad input.
 
-    stdin is a binary stream, read when no path is given.  Each report is
-    written as soon as it is built, so a batch holds one report at a time;
-    with config.out the text is held until every input has been read, so
-    the out file may be one of the inputs.
+    fmt is "human" or "structured".  stdin is a binary stream, read when no
+    path is given.  Each report is written as soon as it is built, so a
+    batch holds one report at a time; with an out path the text is held
+    until every input has been read, so the out file may be one of the
+    inputs.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    sink = io.StringIO() if config.out else stdout
+    sink = io.StringIO() if out else stdout
     # one report in full, or one line (or header) per file given
-    batch = len(config.paths) > 1
+    batch = len(paths) > 1
     separator = ""
     worst = 0
-    for source in config.paths or ("<stdin>",):
+    for source in paths or ("<stdin>",):
         try:
-            if config.paths:
+            if paths:
                 with open(source, "rb") as fh:
                     data = fh.read()
             else:
@@ -527,22 +521,22 @@ def run(config: RunConfig, stdin=None, stdout=None, stderr=None) -> int:
             continue
         if "fail" in report["checks"].values():
             worst = max(worst, 1)
-        if config.fmt == "structured" and batch:
+        if fmt == "structured" and batch:
             report = {"source": source, **report}
             sink.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-        elif config.fmt == "structured":
+        elif fmt == "structured":
             sink.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         else:
             header = f"== {source} ==\n" if batch else ""
             sink.write(separator + header + render_human(report))
             separator = "\n"
 
-    if config.out:
+    if out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(sink.getvalue())
         except OSError as exc:
-            print(f"{config.out}: {exc.strerror or exc}", file=stderr)
+            print(f"{out}: {exc.strerror or exc}", file=stderr)
             return 2
     return worst
 
@@ -565,7 +559,7 @@ def main(argv=None) -> int:
     """Run the command line; exit 141 (128 + SIGPIPE) if stdout's reader quits."""
     ns = make_arg_parser().parse_args(argv)
     try:
-        return run(RunConfig(paths=tuple(ns.paths), fmt=ns.fmt, out=ns.out))
+        return run(ns.paths, ns.fmt, ns.out)
     except BrokenPipeError:
         # the interpreter flushes stdout once more at exit; send that
         # flush nowhere so it cannot raise again

@@ -72,7 +72,8 @@ class _Case:
     phrase: str
 
 
-# Every attaching case, in the order the descriptor format lists them.
+# Every attaching case, in the order the descriptor format lists them: the one
+# table that validation, the wedge, the matrix route, pi^3 and the CLI read.
 CASES = {
     "null": _Case(None, True, True, SPHERE,
         "trivial top attachment; the top cell splits off as a sphere"),

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 
 from susp5.abgroup import FgAbGroup, direct_sum, direct_sum_counted
-from susp5.decompose import ManifoldDescriptor
+from susp5.decompose import CASES, ManifoldDescriptor
 from susp5.spaces import (
     CHANG_ETA,
     CHANG_IP_ETA_LIFT,
@@ -221,16 +221,17 @@ def pi3(desc: ManifoldDescriptor) -> FgAbGroup:
     top attachment deletes one summand outright.
     """
     case = desc.case
+    index = CASES[case.kind].index
     exps = desc.two_primary_exponents
     two_rank = desc.l - desc.c1 - desc.c2 + (1 if case.kind == "null" else 0)
-    drop = case.index if case.kind in ("tilde_eta", "i_eta_sq") else None
+    drop = case.index if index == "unconsumed" else None
     parts = [
         FgAbGroup.free(desc.d),
         FgAbGroup.from_primary(0, [(2, 1)] * two_rank),
         desc.remaining_torsion(extra=drop),
     ]
     for j in desc.consumed:
-        if case.kind == "ip_tilde_eta" and j == case.index:
+        if index == "consumed" and j == case.index:
             continue
         parts.append(FgAbGroup.cyclic(2 ** (exps[j] + 1)))
     if case.kind == "tilde_eta" and case.r > 1:

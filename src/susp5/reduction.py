@@ -15,14 +15,16 @@ Two layers:
   above), and i_P eta~ classes on the consumed two-stage pieces.
   reduce_phi picks the canonical surviving case.
 
-enumerate_orbit and enumerate_phi_orbit run breadth-first searches over
-all legal single moves; they exist to cross-check the greedy normal forms
-on small instances.  The searches run over one int per state (the matrix
-rows side by side; the phi bits, then two bits per Moore slot) through
-_h_search and _phi_search, one cached record per shape that holds the move
-table, the unpacker and the successor function.  They build one validated
-object per orbit member; legal_moves and phi_moves read the same record in
-the same order.
+The move tables are the package's one encoding of the stable map calculus
+between spheres, Moore spaces and Chang complexes (B(chi), lifted Hopf
+maps, xi-bar).  enumerate_orbit and enumerate_phi_orbit run breadth-first
+searches over all legal single moves; they exist to cross-check the greedy
+normal forms on small instances.  The searches run over one int per state
+(the matrix rows side by side; the phi bits, then two bits per Moore slot)
+through _h_search and _phi_search, one cached record per shape that holds
+the move table, the unpacker and the successor function.  They build one
+validated object per orbit member; legal_moves and phi_moves read the same
+record in the same order.
 """
 from __future__ import annotations
 

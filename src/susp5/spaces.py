@@ -15,7 +15,8 @@ here; the factories split them into prime-power wedge summands
 immediately, which keeps wedge normal forms unique.  The factories,
 suspension and the top pieces of the decompositions go through one bounded
 memo, `summand`, so each distinct summand is built, validated and rendered
-once per process.
+once per process.  `ElementaryComplex.section`, read off `_Variant.below`,
+is the package's one truncation rule.
 """
 from __future__ import annotations
 
@@ -230,8 +231,9 @@ class Wedge:
     (top dimension, variant, parameters) strictly increase and every
     multiplicity is at least one.  A sort key determines its summand, so
     each wedge has one such form, and equality and hashing compare it.
-    wedge() builds the form from summands in any order; the wedge of no
-    runs is the point and renders as 'pt'.
+    wedge_of() builds the form from counts, wedge() from summands in any
+    order; the wedge of no runs is the point and renders as 'pt'.  Every
+    method works once per run and repeats by its multiplicity.
     """
 
     runs: tuple[tuple[ElementaryComplex, int], ...] = ()

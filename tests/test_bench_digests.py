@@ -21,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from susp5.cli import RunConfig, parse_descriptor_text, run
+from susp5.cli import parse_descriptor_text, run
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -64,8 +64,8 @@ def test_bench_corpus_output_is_byte_identical(tmp_path, monkeypatch, workload):
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     out, err = io.StringIO(), io.StringIO()
-    config = RunConfig(paths=tuple(name for name, _ in files), fmt="structured")
-    assert run(config, stdout=out, stderr=err) == 0, err.getvalue()
+    paths = tuple(name for name, _ in files)
+    assert run(paths, fmt="structured", stdout=out, stderr=err) == 0, err.getvalue()
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[workload]
 
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from susp5 import cli, decompose, invariants, reduction
 from susp5.abgroup import FgAbGroup
 from susp5.cli import (
     ParseError,
-    RunConfig,
     build_report,
     main,
     parse_descriptor_text,
@@ -33,7 +33,7 @@ from susp5.cli import (
     run,
 )
 from susp5.reduction import AttachCase
-from susp5.spaces import ElementaryComplex, Wedge
+from susp5.spaces import MOORE_ETA_SQ, ElementaryComplex, Wedge, chang_eta, sphere, wedge_of
 
 MINIMAL = "l = 1\nd = 1\nspin = true\n"
 
@@ -208,7 +208,7 @@ def test_non_ascii_digits_are_located_parse_errors(tmp_path, text, line):
     p = tmp_path / "digits.txt"
     p.write_text(text, encoding="utf-8")
     err = io.StringIO()
-    assert run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err) == 2
+    assert run(paths=(str(p),), stdout=io.StringIO(), stderr=err) == 2
     assert err.getvalue().startswith(f"{p}:{line}:5: syntax error: ")
 
 
@@ -218,7 +218,7 @@ def test_torsion_order_of_2_64_or_more_is_a_located_range_error(tmp_path, term):
     p = tmp_path / "big.txt"
     p.write_text(f"l = 1\nd = 1\nspin = true\n{term}\n", encoding="utf-8")
     err = io.StringIO()
-    assert run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err) == 2
+    assert run(paths=(str(p),), stdout=io.StringIO(), stderr=err) == 2
     key, literal = term.split(" = ")
     assert err.getvalue() == (
         f"{p}:4:5: range error: bad group literal for {key}: "
@@ -253,7 +253,7 @@ def test_crlf_file_reads_like_lf(tmp_path):
         p = tmp_path / name
         p.write_bytes(FULL.replace("\n", newline).encode())
         out = io.StringIO()
-        assert run(RunConfig(paths=(str(p),), fmt="structured"), stdout=out) == 0
+        assert run(paths=(str(p),), fmt="structured", stdout=out) == 0
         reports.append(out.getvalue())
     assert reports[0] == reports[1]
 
@@ -264,11 +264,11 @@ def test_undecodable_input_is_located(tmp_path):
     bad.write_bytes(data)
     good.write_text(MINIMAL)
     out, err = io.StringIO(), io.StringIO()
-    assert run(RunConfig(paths=(str(bad), str(good))), stdout=out, stderr=err) == 2
+    assert run(paths=(str(bad), str(good)), stdout=out, stderr=err) == 2
     assert err.getvalue() == f"{bad}:2:14: syntax error: byte 0xff is not valid UTF-8\n"
     assert f"== {good} ==" in out.getvalue()
     err = io.StringIO()
-    assert run(RunConfig(), stdin=io.BytesIO(data), stdout=io.StringIO(), stderr=err) == 2
+    assert run(stdin=io.BytesIO(data), stdout=io.StringIO(), stderr=err) == 2
     assert err.getvalue() == "<stdin>:2:14: syntax error: byte 0xff is not valid UTF-8\n"
 
 
@@ -571,7 +571,7 @@ def test_oversized_integers_are_located_range_errors(tmp_path, text, where, mess
     p = tmp_path / "big.txt"
     p.write_text(text, encoding="utf-8")
     err = io.StringIO()
-    assert run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err) == 2
+    assert run(paths=(str(p),), stdout=io.StringIO(), stderr=err) == 2
     assert err.getvalue() == f"{p}:{where}: range error: {message}\n"
 
 
@@ -644,7 +644,6 @@ def test_build_report_contents():
 def test_run_human_output():
     buf, err = io.StringIO(), io.StringIO()
     code = run(
-        RunConfig(),
         stdin=io.BytesIO(b"l = 1\nd = 1\nH = Z/5\nspin = true\n"),
         stdout=buf,
         stderr=err,
@@ -660,7 +659,7 @@ def test_structured_output_is_byte_stable():
     payloads = []
     for _ in range(2):
         buf = io.StringIO()
-        code = run(RunConfig(fmt="structured"), stdin=io.BytesIO(FULL.encode()), stdout=buf)
+        code = run(fmt="structured", stdin=io.BytesIO(FULL.encode()), stdout=buf)
         assert code == 0
         payloads.append(buf.getvalue())
     assert payloads[0] == payloads[1]
@@ -673,7 +672,7 @@ def test_parse_error_exit_and_stderr(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("l = x\nd = 1\nspin = true\n")
     err = io.StringIO()
-    code = run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err)
+    code = run(paths=(str(p),), stdout=io.StringIO(), stderr=err)
     assert code == 2
     assert "syntax error" in err.getvalue()
 
@@ -683,7 +682,7 @@ def test_contradictory_smooth_and_pd_mode_exit(tmp_path, flag):
     p = tmp_path / "both.txt"
     p.write_text(f"l = 1\nd = 1\nspin = true\nsmooth = {flag}\npd_mode = {flag}\n")
     err = io.StringIO()
-    code = run(RunConfig(paths=(str(p),)), stdout=io.StringIO(), stderr=err)
+    code = run(paths=(str(p),), stdout=io.StringIO(), stderr=err)
     assert code == 2
     assert err.getvalue() == (
         f"{p}:5:11: consistency error: exactly one of smooth and pd_mode must be set\n"
@@ -693,7 +692,7 @@ def test_contradictory_smooth_and_pd_mode_exit(tmp_path, flag):
 def test_missing_file_exit(tmp_path):
     err = io.StringIO()
     code = run(
-        RunConfig(paths=(str(tmp_path / "nope.txt"),)), stdout=io.StringIO(), stderr=err
+        paths=(str(tmp_path / "nope.txt"),), stdout=io.StringIO(), stderr=err
     )
     assert code == 2
 
@@ -703,8 +702,7 @@ def test_missing_file_exit(tmp_path):
     missing = f"{nope}: {os.strerror(errno.ENOENT)}\n"
     for fmt in ("human", "structured"):
         out, err = io.StringIO(), io.StringIO()
-        config = RunConfig(paths=(str(nope), str(good)), fmt=fmt)
-        assert run(config, stdout=out, stderr=err) == 2
+        assert run(paths=(str(nope), str(good)), fmt=fmt, stdout=out, stderr=err) == 2
         assert err.getvalue() == missing
         if fmt == "human":
             assert out.getvalue().startswith(f"== {good} ==\n")
@@ -720,7 +718,7 @@ def test_three_torsion_is_reported_not_split(tmp_path):
     text = "l = 1\nd = 1\nH = Z/3\nspin = true\n"
     note = "three-primary torsion in H lies outside the splitting theorem"
     buf = io.StringIO()
-    assert run(RunConfig(fmt="structured"), stdin=io.BytesIO(text.encode()), stdout=buf) == 0
+    assert run(fmt="structured", stdin=io.BytesIO(text.encode()), stdout=buf) == 0
     report = json.loads(buf.getvalue())
     assert report["single_suspension"] is None
     assert report["single_suspension_note"] == note
@@ -731,7 +729,7 @@ def test_three_torsion_is_reported_not_split(tmp_path):
     p.write_text(text)
     for paths in ((str(p),), (str(p), str(p))):
         out, err = io.StringIO(), io.StringIO()
-        assert run(RunConfig(paths=paths), stdout=out, stderr=err) == 0
+        assert run(paths=paths, stdout=out, stderr=err) == 0
         assert err.getvalue() == ""
         for line in (
             f"suspension:         not determined ({note})\n",
@@ -803,6 +801,46 @@ def test_planted_table_faults_get_through_warm_memos(monkeypatch):
         else:
             assert {row[1] for row in report["traces"]["pi4_sigma"]} == {"Z"}
         assert build_report(desc) == clean
+
+
+def _split_each_chang_eta(m):
+    # W5 with each C^5_eta written as S^3 v S^5: the same homology, no eta
+    build = decompose.ManifoldDescriptor.w5.func
+
+    def w5(desc):
+        counts = dict(build(desc).runs)
+        n = counts.pop(chang_eta(5), 0)
+        for s in (sphere(3), sphere(5)):
+            counts[s] = counts.get(s, 0) + n
+        return wedge_of(counts)
+
+    cached = cached_property(w5)
+    cached.__set_name__(decompose.ManifoldDescriptor, "w5")
+    m.setattr(decompose.ManifoldDescriptor, "w5", cached)
+
+
+def _tilde_eta_top_as_eta_sq(m):
+    # A^6(eta~_r) built as A^6(2^r eta^2): the same cells and homology
+    case = replace(decompose.CASES["tilde_eta"], top=MOORE_ETA_SQ)
+    m.setitem(decompose.CASES, "tilde_eta", case)
+
+
+@pytest.mark.parametrize(
+    "plant, sample",
+    [(_split_each_chang_eta, "nonspin_eta.txt"), (_tilde_eta_top_as_eta_sq, "nonspin_lift.txt")],
+    ids=["chang_eta_split", "tilde_eta_top"],
+)
+def test_the_cohomotopy_crosscheck_sees_attaching_maps(monkeypatch, plant, sample):
+    """A wrong attaching map keeps every summand's homology, so the homology,
+    weight and K checks pass; maps into S^4 see it."""
+    text = (Path(__file__).resolve().parents[1] / "scripts" / "descriptors" / sample).read_text()
+    assert set(build_report(parse_descriptor_text(text))["checks"].values()) == {"ok"}
+    with monkeypatch.context() as m:
+        plant(m)
+        report = build_report(parse_descriptor_text(text))
+    assert report["checks"] == {
+        name: "fail" if name == "cohomotopy_crosscheck" else "ok" for name in _FAULTS
+    }
 
 
 def test_reports_share_no_mutable_state():
@@ -920,7 +958,7 @@ def test_a_batch_writes_each_report_before_reading_the_next_input(tmp_path, monk
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "open", spy, raising=False)
-    assert run(RunConfig(paths=(str(a), str(b)), fmt=fmt), stdout=out) == 0
+    assert run(paths=(str(a), str(b)), fmt=fmt, stdout=out) == 0
     first = written_before[str(b)]
     assert written_before[str(a)] == "" and out.getvalue().startswith(first)
     if fmt == "human":
@@ -934,7 +972,7 @@ def test_unwritable_out_path_exit(tmp_path):
     src.write_text(MINIMAL)
     dst = tmp_path / "no-such-dir" / "report.json"
     err = io.StringIO()
-    code = run(RunConfig(paths=(str(src),), out=str(dst)), stdout=io.StringIO(), stderr=err)
+    code = run(paths=(str(src),), out=str(dst), stdout=io.StringIO(), stderr=err)
     assert code == 2
     assert err.getvalue() == f"{dst}: {os.strerror(errno.ENOENT)}\n"
 
@@ -945,7 +983,7 @@ def test_batch_structured_is_one_line_per_input(tmp_path):
     b = tmp_path / "b.txt"
     b.write_text(MATRIX)
     buf = io.StringIO()
-    code = run(RunConfig(paths=(str(a), str(b)), fmt="structured"), stdout=buf)
+    code = run(paths=(str(a), str(b)), fmt="structured", stdout=buf)
     assert code == 0
     rows = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert [r["source"] for r in rows] == [str(a), str(b)]
@@ -1043,3 +1081,20 @@ def test_every_module_is_reached_from_the_cli():
         if info.name != "susp5.__main__"
     }
     assert modules - set(proc.stdout.split()) == set()
+
+
+def test_importing_two_modules_loads_only_those():
+    # the oracle sweep imports abgroup and reduction; the package must not
+    # load (and, with no bytecode cache, compile) the modules it never calls
+    code = (
+        "import sys\n"
+        "from susp5 import abgroup, reduction\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('susp5'))))\n"
+    )
+    src = str(Path(susp5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["susp5", "susp5.abgroup", "susp5.reduction"]

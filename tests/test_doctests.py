@@ -4,6 +4,7 @@ import doctest
 import importlib
 import io
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,10 @@ def test_readme_library_example_prints_its_results():
         "Z + Z/2 + Z/2",
         "Z^2",
     ]
+
+
+def test_readme_module_map_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Module map")
+    section = text[start : text.index("\n## ", start)]
+    assert sorted(re.findall(r"^\* `(susp5\.\w+)`:", section, re.MULTILINE)) == MODULES

@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from susp5.cli import RunConfig, parse_descriptor_text, render_descriptor, run
+from susp5.cli import parse_descriptor_text, render_descriptor, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [
@@ -63,7 +63,7 @@ def mutants(draw):
 def _ends_in_a_report_or_a_located_parse_error(text: str) -> None:
     out, err = io.StringIO(), io.StringIO()
     stdin = io.BytesIO(text.encode())
-    code = run(RunConfig(fmt="structured"), stdin=stdin, stdout=out, stderr=err)
+    code = run(fmt="structured", stdin=stdin, stdout=out, stderr=err)
     if code == 2:
         # one line, however the message quotes the input
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from susp5.cli import RunConfig, run
+from susp5.cli import run
 from susp5.decompose import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,7 +42,7 @@ def test_every_descriptor_has_human_golden_files():
 
 def _output(path: Path, fmt: str) -> str:
     out = io.StringIO()
-    assert run(RunConfig(paths=(str(path),), fmt=fmt), stdout=out) == 0
+    assert run(paths=(str(path),), fmt=fmt, stdout=out) == 0
     return out.getvalue()
 
 
@@ -67,6 +67,6 @@ def test_batch_human_output_matches_golden(monkeypatch):
     monkeypatch.chdir(ROOT)
     paths = tuple(str(p.relative_to(ROOT)) for p in DESCRIPTORS)
     out = io.StringIO()
-    code = run(RunConfig(paths=paths, fmt="human"), stdout=out)
+    code = run(paths=paths, fmt="human", stdout=out)
     assert code == 0
     assert out.getvalue() == (GOLDEN / "descriptors.human").read_text(encoding="utf-8")
