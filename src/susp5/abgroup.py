@@ -314,22 +314,6 @@ class FgAbGroup:
     def from_primary(cls, free_rank: int, pairs) -> "FgAbGroup":
         return _canonical(free_rank, tuple(sorted(tuple(t) for t in pairs)))
 
-    @classmethod
-    def from_presentation(cls, a) -> "FgAbGroup":
-        """Cokernel of a: Z^cols -> Z^rows, i.e. Z^rows / (column span of a).
-
-        >>> FgAbGroup.from_presentation([[2, 4], [6, 8]])
-        FgAbGroup(free_rank=0, torsion=((2, 1), (2, 2)))
-        >>> FgAbGroup.from_presentation([[], []])
-        FgAbGroup(free_rank=2, torsion=())
-        """
-        d, _, _ = smith_normal_form(a)
-        m = len(d)
-        n = len(d[0]) if m else 0
-        diag = [d[i][i] for i in range(min(m, n))]
-        orders = [x for x in diag if x != 0]
-        return cls.from_orders(orders + [0] * (m - len(orders)))
-
     _TERM = re.compile(
         r"^(?:0|Z(?:\^(?P<rank>[0-9]+))?|Z/(?P<base>[0-9]+)(?:\^(?P<exp>[0-9]+))?)$"
     )
@@ -368,23 +352,9 @@ class FgAbGroup:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def has_2_torsion(self) -> bool:
-        return any(p == 2 for p, _ in self.torsion)
-
-    @property
-    def has_3_torsion(self) -> bool:
-        return any(p == 3 for p, _ in self.torsion)
-
-    def num_torsion_summands(self) -> int:
-        return len(self.torsion)
-
     def primary_exponents(self, p: int) -> tuple[int, ...]:
         """Exponents e of the Z/p^e summands, in canonical (ascending) order."""
         return tuple(e for q, e in self.torsion if q == p)
-
-    def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
-        return direct_sum(self, *others)
 
     def drop_torsion_summands(self, indices) -> "FgAbGroup":
         """Remove the torsion summands at the given canonical indices."""

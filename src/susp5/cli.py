@@ -403,8 +403,8 @@ def build_report(desc):
         comps["pi4_sigma"] = pi4_sigma_crosscheck(single)
 
     # the double wedge's reduced homology is M's, shifted up twice
-    h = desc.h1_torsion.num_torsion_summands()
-    t = desc.h2_torsion.num_torsion_summands()
+    h = len(desc.h1_torsion.torsion)
+    t = len(desc.h2_torsion.torsion)
     passed = {
         "homology_shift": double.homology() == {i + 2: hm[i] for i in range(1, 6)},
         "weight_count": double.weight() == 2 * desc.l + 2 * desc.d + 2 * h + t + 1,

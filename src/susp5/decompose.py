@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
-from susp5.abgroup import FgAbGroup
+from susp5.abgroup import FgAbGroup, direct_sum
 from susp5.reduction import (
     AttachCase,
     DescriptorError,
@@ -116,7 +116,7 @@ class ManifoldDescriptor:
         for key, name, g in (("H", "h1", self.h1_torsion), ("T", "h2", self.h2_torsion)):
             if g.free_rank:
                 raise DescriptorError(f"{name} torsion part must be a torsion group", key)
-        if self.h1_torsion.has_2_torsion:
+        if self.h1_torsion.primary_exponents(2):
             raise DescriptorError("first homology torsion must be odd", "H")
         t2 = len(self.two_primary_exponents)
         if not 0 <= self.c1 <= min(self.l, self.d):
@@ -226,9 +226,9 @@ def manifold_homology(desc: ManifoldDescriptor) -> dict[int, FgAbGroup]:
     zd = FgAbGroup.free(desc.d)
     return {
         0: FgAbGroup.free(1),
-        1: zl.direct_sum(desc.h1_torsion),
-        2: zd.direct_sum(desc.h2_torsion),
-        3: zd.direct_sum(desc.h1_torsion),
+        1: direct_sum(zl, desc.h1_torsion),
+        2: direct_sum(zd, desc.h2_torsion),
+        3: direct_sum(zd, desc.h1_torsion),
         4: zl,
         5: FgAbGroup.free(1),
     }
@@ -242,7 +242,7 @@ def suspension_decomposition(desc: ManifoldDescriptor) -> Wedge:
     such H this stage is not determined here (the suspension may still
     split, as it does for L(3,1) x T^2).  The double suspension splits.
     """
-    if desc.h1_torsion.has_3_torsion:
+    if desc.h1_torsion.primary_exponents(3):
         raise DecompositionError("three-primary torsion in H lies outside the splitting theorem")
     return desc.suspension_wedge
 

@@ -111,15 +111,15 @@ def ko_of_summand(s: ElementaryComplex) -> FgAbGroup:
             return _Z2
     if s.kind == CHANG_ETA:
         if s.dim == 6:
-            return _Z.direct_sum(_Z2)
+            return direct_sum(_Z, _Z2)
         if s.dim == 7:
             return _0
     if s.kind == CHANG_R and s.dim == 6:
-        return _Z.direct_sum(_Z2)
+        return direct_sum(_Z, _Z2)
     if s.kind == MOORE_ETA_LIFT and s.dim == 7:
         return _Z2
     if s.kind == CHANG_IP_ETA_LIFT and s.dim == 7:
-        return _Z.direct_sum(_Z2)
+        return direct_sum(_Z, _Z2)
     if s.kind == SPHERE_ETA_SQ and s.dim == 7:
         return _Z2
     if s.kind == MOORE_ETA_SQ and s.dim == 7:
@@ -163,9 +163,7 @@ def maps_to_s4(s: ElementaryComplex) -> tuple[FgAbGroup, bool]:
 
 def k_closed_form(desc: ManifoldDescriptor) -> FgAbGroup:
     """Z^(d+l) plus two copies of the odd linking torsion."""
-    return FgAbGroup.free(desc.d + desc.l).direct_sum(
-        desc.h1_torsion, desc.h1_torsion
-    )
+    return direct_sum(FgAbGroup.free(desc.d + desc.l), desc.h1_torsion, desc.h1_torsion)
 
 
 def ko_closed_form(desc: ManifoldDescriptor) -> FgAbGroup:

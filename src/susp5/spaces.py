@@ -41,16 +41,14 @@ MOORE_ETA_SQ = "moore_eta_sq"
 class _Variant:
     """What all summands of one kind share.
 
-    rank orders kinds of equal top dimension in a wedge; min_dim is the
-    lowest allowed top dimension; param says which orders the kind allows
-    (a key of _ORDERS); depths give each cell's distance below the top
-    cell, bottom cell first, and so determine the homology and the block
-    weight; template renders the summand from n, order and r = log2(order);
-    below is the variant left without the top cell, or None where that is
-    not one piece (a point, a lone cell).
+    min_dim is the lowest allowed top dimension; param says which orders
+    the kind allows (a key of _ORDERS); depths give each cell's distance
+    below the top cell, bottom cell first, and so determine the homology and
+    the block weight; template renders the summand from n, order and
+    r = log2(order); below is the variant left without the top cell, or
+    None where that is not one piece (a point, a lone cell).
     """
 
-    rank: int
     min_dim: int
     param: str | None
     depths: tuple[int, ...]
@@ -65,20 +63,22 @@ _ORDERS = {
     "2^r": lambda k: k > 1 and k & (k - 1) == 0,
 }
 
+# Every kind, in the order that sorts kinds of equal top dimension in a wedge.
 _VARIANTS = {
-    SPHERE: _Variant(0, 1, None, (0,), "S^{n}", None),
-    MOORE: _Variant(1, 2, "p^e", (1, 0), "P^{n}(Z/{order})", None),
-    CHANG_ETA: _Variant(2, 5, None, (2, 0), "C^{n}_eta", SPHERE),
-    CHANG_R: _Variant(3, 5, "2^r", (2, 1, 0), "C^{n}_{{r={r}}}", MOORE),
+    SPHERE: _Variant(1, None, (0,), "S^{n}", None),
+    MOORE: _Variant(2, "p^e", (1, 0), "P^{n}(Z/{order})", None),
+    CHANG_ETA: _Variant(5, None, (2, 0), "C^{n}_eta", SPHERE),
+    CHANG_R: _Variant(5, "2^r", (2, 1, 0), "C^{n}_{{r={r}}}", MOORE),
     # P^{n-2}(2^r) with a top n-cell attached along the lifted Hopf map
-    MOORE_ETA_LIFT: _Variant(4, 6, "2^r", (3, 2, 0), "A^{n}(eta~_{r})", MOORE),
+    MOORE_ETA_LIFT: _Variant(6, "2^r", (3, 2, 0), "A^{n}(eta~_{r})", MOORE),
     # C^{n-1}_r with a top n-cell attached along i_P composed with the lift
-    CHANG_IP_ETA_LIFT: _Variant(5, 6, "2^r", (3, 2, 1, 0), "A^{n}(i_P eta~_{r})", CHANG_R),
+    CHANG_IP_ETA_LIFT: _Variant(6, "2^r", (3, 2, 1, 0), "A^{n}(i_P eta~_{r})", CHANG_R),
     # S^{n-3} with a top n-cell attached along the squared Hopf map
-    SPHERE_ETA_SQ: _Variant(6, 6, None, (3, 0), "A^{n}(eta^2)", SPHERE),
+    SPHERE_ETA_SQ: _Variant(6, None, (3, 0), "A^{n}(eta^2)", SPHERE),
     # P^{n-2}(2^r) with a top n-cell attached along i composed with eta^2
-    MOORE_ETA_SQ: _Variant(7, 6, "2^r", (3, 2, 0), "A^{n}(2^{r} eta^2)", MOORE),
+    MOORE_ETA_SQ: _Variant(6, "2^r", (3, 2, 0), "A^{n}(2^{r} eta^2)", MOORE),
 }
+_RANK = {kind: i for i, kind in enumerate(_VARIANTS)}
 
 _Z = FgAbGroup.free(1)
 
@@ -119,7 +119,7 @@ class ElementaryComplex:
             homology[cells[0]] = FgAbGroup.cyclic(self.order)
             del homology[cells[1]]
         object.__setattr__(self, "_homology", tuple(homology.items()))
-        key = (self.dim, v.rank, self.order)
+        key = (self.dim, _RANK[self.kind], self.order)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         r = self.order.bit_length() - 1

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from susp5.abgroup import FgAbGroup
+from susp5.abgroup import FgAbGroup, direct_sum
 from susp5.reduction import (
     AttachCase,
     HMatrix,
@@ -465,8 +465,8 @@ def connected_sum(m: ManifoldDescriptor, n: ManifoldDescriptor) -> ManifoldDescr
     return ManifoldDescriptor(
         l=m.l + n.l,
         d=m.d + n.d,
-        h1_torsion=m.h1_torsion.direct_sum(n.h1_torsion),
-        h2_torsion=m.h2_torsion.direct_sum(n.h2_torsion),
+        h1_torsion=direct_sum(m.h1_torsion, n.h1_torsion),
+        h2_torsion=direct_sum(m.h2_torsion, n.h2_torsion),
         spin=m.spin and n.spin,
         smooth=m.smooth and n.smooth,
         c1=m.c1 + n.c1,
@@ -515,7 +515,7 @@ def matrix_connected_sum(a: dict, b: dict) -> dict:
     phi rows placed on its own spheres and slots."""
     ha, hb = a["h_matrix"], b["h_matrix"]
     la, lb = a["l"], b["l"]
-    h2 = a["h2_torsion"].direct_sum(b["h2_torsion"])
+    h2 = direct_sum(a["h2_torsion"], b["h2_torsion"])
     maps = merged_slots(ha.moore_exponents, hb.moore_exponents)
     moore = {maps[0][i]: row + (0,) * lb for i, row in enumerate(ha.moore_rows)}
     moore.update({maps[1][i]: (0,) * la + row for i, row in enumerate(hb.moore_rows)})
@@ -537,7 +537,7 @@ def matrix_connected_sum(a: dict, b: dict) -> dict:
     return dict(
         l=la + lb,
         d=a["d"] + b["d"],
-        h1_torsion=a["h1_torsion"].direct_sum(b["h1_torsion"]),
+        h1_torsion=direct_sum(a["h1_torsion"], b["h1_torsion"]),
         h2_torsion=h2,
         spin=a["spin"] and b["spin"],
         smooth=a["smooth"] and b["smooth"],

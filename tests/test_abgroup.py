@@ -156,14 +156,21 @@ def test_smith_normal_form_at_sweep_sizes(a, rank):
         assert math.prod(diag) == abs(helpers.det_int(a))
 
 
+def cokernel(a):
+    """Z^rows / (column span of a), read off the Smith normal form."""
+    d = smith_normal_form(a)[0]
+    orders = [x for x in diag_of(d) if x]
+    return FgAbGroup.from_orders(orders + [0] * (len(d) - len(orders)))
+
+
 class TestPresentations:
     def test_frozen_cokernels(self):
-        assert FgAbGroup.from_presentation([[6]]) == FgAbGroup(0, ((2, 1), (3, 1)))
-        assert FgAbGroup.from_presentation([[2, 4], [6, 8]]) == FgAbGroup(0, ((2, 1), (2, 2)))
-        assert FgAbGroup.from_presentation([[], []]) == FgAbGroup.free(2)
-        assert FgAbGroup.from_presentation([[1]]) == FgAbGroup.trivial()
-        assert FgAbGroup.from_presentation([[0]]) == FgAbGroup.free(1)
-        assert FgAbGroup.from_presentation([]) == FgAbGroup.trivial()
+        assert cokernel([[6]]) == FgAbGroup(0, ((2, 1), (3, 1)))
+        assert cokernel([[2, 4], [6, 8]]) == FgAbGroup(0, ((2, 1), (2, 2)))
+        assert cokernel([[], []]) == FgAbGroup.free(2)
+        assert cokernel([[1]]) == FgAbGroup.trivial()
+        assert cokernel([[0]]) == FgAbGroup.free(1)
+        assert cokernel([]) == FgAbGroup.trivial()
 
     @settings(max_examples=100, deadline=None)
     @given(helpers.int_matrices(max_rows=4, max_cols=4, bound=10), st.randoms(use_true_random=False))
@@ -184,7 +191,7 @@ class TestPresentations:
                     q = rng.randrange(-2, 3)
                     for i in range(m):
                         b[i][j] += q * b[i][k]
-        assert FgAbGroup.from_presentation(a) == FgAbGroup.from_presentation(b)
+        assert cokernel(a) == cokernel(b)
 
 
 class TestCanonicalForm:
@@ -258,9 +265,9 @@ class TestCanonicalForm:
     @settings(max_examples=100, deadline=None)
     @given(helpers.fg_groups(), helpers.fg_groups(), helpers.fg_groups())
     def test_direct_sum_commutative_associative(self, a, b, c):
-        assert a.direct_sum(b) == b.direct_sum(a)
-        assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
-        assert direct_sum(a, b, c) == a.direct_sum(b, c)
+        assert direct_sum(a, b) == direct_sum(b, a)
+        assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+        assert direct_sum(a, b, c) == direct_sum(direct_sum(a, b), c)
         assert direct_sum() == FgAbGroup.trivial()
 
     @settings(max_examples=100, deadline=None)
@@ -281,8 +288,9 @@ class TestCanonicalForm:
     def test_two_primary_helpers(self):
         g = FgAbGroup.from_orders([2, 8, 9, 5])
         assert g.primary_exponents(2) == (1, 3)
-        assert g.has_2_torsion and g.has_3_torsion
-        assert not FgAbGroup.from_orders([5]).has_2_torsion
+        assert g.primary_exponents(3) == (2,)
+        assert g.primary_exponents(5) == (1,)
+        assert FgAbGroup.from_orders([5]).primary_exponents(2) == ()
 
 
 def test_prime_power_factors_match_sympy():
@@ -339,7 +347,7 @@ class TestInterning:
     @settings(max_examples=100, deadline=None)
     @given(helpers.fg_groups(), helpers.fg_groups(), st.data())
     def test_sums_and_drops_meet(self, a, b, data):
-        s = a.direct_sum(b)
+        s = direct_sum(a, b)
         assert s is direct_sum(b, a) is FgAbGroup.from_primary(
             a.free_rank + b.free_rank, a.torsion + b.torsion
         )

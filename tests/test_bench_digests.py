@@ -76,4 +76,4 @@ def test_no_sample_descriptor_has_three_primary_h():
     paths = sorted(SCRIPT_DESCRIPTORS.glob("*.txt"))
     assert paths
     for p in paths:
-        assert not parse_descriptor_text(p.read_text()).h1_torsion.has_3_torsion, p.name
+        assert not parse_descriptor_text(p.read_text()).h1_torsion.primary_exponents(3), p.name

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import susp5
 from helpers import random_descriptor
-from susp5 import cli, decompose, invariants, reduction
+from susp5 import cli, decompose, invariants, reduction, spaces
 from susp5.abgroup import FgAbGroup
 from susp5.cli import (
     ParseError,
@@ -841,6 +841,42 @@ def test_the_cohomotopy_crosscheck_sees_attaching_maps(monkeypatch, plant, sampl
     assert report["checks"] == {
         name: "fail" if name == "cohomotopy_crosscheck" else "ok" for name in _FAULTS
     }
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: no check reads the homology sections W3-W5 yet; the "
+    "per-section Sq^2/Bockstein check will fail this plant"
+))
+def test_a_wrong_section_fails_a_check(monkeypatch):
+    """C^5_eta left with no section below the top cell drops its S^3 from W3
+    and W4 but keeps W5, the wedges and every group."""
+    sample = Path(__file__).resolve().parents[1] / "scripts" / "descriptors" / "spin_trivial.txt"
+    text = sample.read_text()
+    clean = build_report(parse_descriptor_text(text))
+    bare = replace(spaces._VARIANTS[spaces.CHANG_ETA], below=None)
+    monkeypatch.setitem(spaces._VARIANTS, spaces.CHANG_ETA, bare)
+    report = build_report(parse_descriptor_text(text))
+    for k in ("w3", "w4"):  # else the plant missed, which is no xfail
+        if report["sections"][k] == clean["sections"][k]:
+            pytest.fail(f"the plant left {k.upper()} as it was")
+    assert "fail" in report["checks"].values()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 12: the parser does not yet check that the linking form "
+    "on T can be nonsingular and skew-symmetric"
+))
+@pytest.mark.parametrize("torsion", ["Z/4", "Z/3"])
+def test_a_torsion_no_linking_form_pairs_is_rejected_at_t(torsion):
+    """A closed oriented 5-dimensional Poincare complex has a nonsingular
+    skew-symmetric linking form on T, which pairs each Z/p^e with another
+    and leaves at most one Z/2 unpaired; a lone Z/4 or Z/3 is no such T."""
+    try:
+        parse_descriptor_text(MINIMAL + f"T = {torsion}\n")
+    except ParseError as exc:
+        assert (exc.kind, exc.line) == ("consistency", 4), str(exc)
+    else:
+        raise AssertionError(f"T = {torsion} was accepted")
 
 
 def test_reports_share_no_mutable_state():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import expand, random_descriptor
-from susp5.abgroup import FgAbGroup
+from susp5.abgroup import FgAbGroup, direct_sum
 from susp5.decompose import (
     ManifoldDescriptor,
     double_suspension_decomposition,
@@ -143,7 +143,7 @@ def test_k_group_examples():
 def test_ko_group_examples():
     assert KO(desc()).group == G("Z + Z/2 + Z/2")
     comp = KO(desc(l=2, d=1, T="Z/2 + Z/4 + Z/8 + Z/9"))
-    assert comp.group == G("Z^2").direct_sum(FgAbGroup.from_primary(0, [(2, 1)] * 6))
+    assert comp.group == direct_sum(G("Z^2"), FgAbGroup.from_primary(0, [(2, 1)] * 6))
 
 
 def test_k_and_ko_reject_the_double_suspension_of_another_descriptor():

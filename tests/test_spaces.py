@@ -96,7 +96,7 @@ class TestHomology:
         for cx in all_variants():
             h = cx.reduced_homology()
             rank = sum(g.free_rank for g in h.values())
-            torsion = sum(g.num_torsion_summands() for g in h.values())
+            torsion = sum(len(g.torsion) for g in h.values())
             assert len(cx.cells()) == rank + 2 * torsion, cx.render()
 
     def test_suspension_shifts_homology(self):
