@@ -19,12 +19,13 @@ The move tables are the package's one encoding of the stable map calculus
 between spheres, Moore spaces and Chang complexes (B(chi), lifted Hopf
 maps, xi-bar).  enumerate_orbit and enumerate_phi_orbit run breadth-first
 searches over all legal single moves; they exist to cross-check the greedy
-normal forms on small instances.  The searches run over one int per state
-(the matrix rows side by side; the phi bits, then two bits per Moore slot)
-through _h_search and _phi_search, one cached record per shape that holds
-the move table, the unpacker and the successor function.  They build one
+normal forms on small instances.  The searches run over one int per state.
+_h_codec writes the matrix layout once per shape (the rows side by side,
+with the Moore claim order reduce_h_matrix reads), and _phi_search the
+vector layout (the phi bits, then two bits per Moore slot) beside its move
+table; _h_search holds the matrix move table.  The searches build one
 validated object per orbit member; legal_moves and phi_moves read the same
-record in the same order.
+records in the same order.
 """
 from __future__ import annotations
 
@@ -75,52 +76,62 @@ class HMatrix:
 
     @property
     def num_columns(self) -> int:
-        for row in self.sphere_rows + self.moore_rows:
-            return len(row)
-        return 0
-
-
-@lru_cache(maxsize=256)
-def _row_mask(row: tuple) -> int:
-    """A matrix row as a bitmask; bit c is column c."""
-    return sum(1 << c for c, x in enumerate(row) if x)
-
-
-def _pack_rows(h: HMatrix) -> list[int]:
-    """Rows of h as bitmasks, sphere rows first (a row given as a list is
-    looked up by its tuple)."""
-    return [_row_mask(tuple(row)) for row in (*h.sphere_rows, *h.moore_rows)]
+        rows = self.sphere_rows or self.moore_rows
+        return len(rows[0]) if rows else 0
 
 
 def _shape(h: HMatrix) -> tuple[int, tuple[int, ...], int]:
     """(sphere-row count, Moore exponents, column count) of h."""
-    return len(h.sphere_rows), h.moore_exponents, h.num_columns
-
-
-# A search state is one int: row i of the packed rows sits at bits
-# i*cols .. i*cols + cols - 1.
-
-
-def _join_rows(rows, cols: int) -> int:
-    state = 0
-    for m in reversed(rows):
-        state = state << cols | m
-    return state
-
-
-def _h_state(h: HMatrix, cols: int) -> int:
-    return _join_rows(_pack_rows(h), cols)
+    return len(h.sphere_rows), tuple(h.moore_exponents), h.num_columns
 
 
 @lru_cache(maxsize=64)
-def _h_search(d: int, exps: tuple[int, ...], cols: int):
-    """The orbit search over matrices of d sphere rows, Moore rows of
-    exponents exps and cols columns, as (unpack, successors).
+def _h_codec(d: int, exps: tuple[int, ...], cols: int):
+    """The packed layout of matrices of d sphere rows, Moore rows of
+    exponents exps and cols columns, as (offsets, pack, join, unpack,
+    claim).
 
-    unpack(state) is the HMatrix packed in state; orbits of one shape share
-    rows, so each distinct row value becomes one tuple per shape.
-    successors(state) lists the states one legal move away, in the order of
-    legal_moves.
+    A row packs into a bitmask whose bit c is column c, and a matrix into
+    one int that holds row i (sphere rows first) at bits offsets[i] ..
+    offsets[i] + cols - 1.  pack(h) lists the rows of h as bitmasks (a row
+    may be a list; an entry sets its bit when it is true, so True and 1.0
+    pack as 1), and join(rows) is the int that holds them.  unpack(state)
+    is the HMatrix packed in state; orbits of one shape share rows, so each
+    distinct row value becomes one tuple per shape.  claim lists the Moore
+    rows in the order they claim columns: by decreasing exponent, ties by
+    position.
+    """
+    powers = [1 << c for c in range(cols)]
+    offsets = [i * cols for i in range(d + len(exps))]
+    full = (1 << cols) - 1
+
+    def pack(h: HMatrix) -> list[int]:
+        return [sum(compress(powers, row)) for row in (*h.sphere_rows, *h.moore_rows)]
+
+    def join(rows: list[int]) -> int:
+        state = 0
+        for m in reversed(rows):
+            state = state << cols | m
+        return state
+
+    @lru_cache(maxsize=256)
+    def bits(m: int) -> tuple[int, ...]:
+        return tuple((m >> c) & 1 for c in range(cols))
+
+    def unpack(state: int) -> HMatrix:
+        rows = tuple([bits((state >> o) & full) for o in offsets])
+        return HMatrix(rows[:d], rows[d:], exps)
+
+    claim = tuple(sorted(range(len(exps)), key=exps.__getitem__, reverse=True))
+    return offsets, pack, join, unpack, claim
+
+
+@lru_cache(maxsize=1)
+def _h_search(d: int, exps: tuple[int, ...], cols: int):
+    """The successor function of the orbit search over matrices of d sphere
+    rows, Moore rows of exponents exps and cols columns, packed as _h_codec
+    lays them out: successors(state) lists the states one legal move away,
+    in the order of legal_moves.
 
     Each move is (q, mask): the state s goes to s ^ (((s << lift) >> q) &
     mask).  Adding row k onto row i shifts row k's bits into row i's place;
@@ -128,20 +139,21 @@ def _h_search(d: int, exps: tuple[int, ...], cols: int):
     c.  Every shift is a net shift by lift - q, so one lift of s per state
     makes each move one shift, one mask and one XOR.
     """
-    n = d + len(exps)
-    lift = max(n - 1, 1) * cols
+    offsets = _h_codec(d, exps, cols)[0]
+    n = len(offsets)
+    lift = max(offsets[-1:] + [cols])  # at least every net shift
     row = (1 << cols) - 1
     moves = []
 
     def added(target, source):  # row target += row source
-        moves.append((lift - (target - source) * cols, row << (target * cols)))
+        moves.append((lift - offsets[target] + offsets[source], row << offsets[target]))
 
     for i in range(d):
         for k in range(d):
             if i != k:
                 added(i, k)
     for c in range(cols):
-        column = sum(1 << (i * cols + c) for i in range(n))
+        column = sum(1 << (o + c) for o in offsets)
         for k in range(cols):
             if c != k:
                 moves.append((lift - (c - k), column))
@@ -152,21 +164,12 @@ def _h_search(d: int, exps: tuple[int, ...], cols: int):
         for k in range(d, n):
             if j != k and exps[j - d] >= exps[k - d]:
                 added(k, j)
-    offsets = [i * cols for i in range(n)]
-
-    @lru_cache(maxsize=256)
-    def bits(m: int) -> tuple[int, ...]:
-        return tuple((m >> c) & 1 for c in range(cols))
-
-    def unpack(state: int) -> HMatrix:
-        rows = tuple([bits((state >> o) & row) for o in offsets])
-        return HMatrix(rows[:d], rows[d:], exps)
 
     def successors(s: int) -> list[int]:
         t = s << lift
         return [s ^ ((t >> q) & mask) for q, mask in moves]
 
-    return unpack, successors
+    return successors
 
 
 def legal_moves(h: HMatrix) -> list[HMatrix]:
@@ -179,8 +182,8 @@ def legal_moves(h: HMatrix) -> list[HMatrix]:
     (B(chi) transports i eta with unit coefficient exactly then).
     """
     shape = _shape(h)
-    unpack, successors = _h_search(*shape)
-    return list(map(unpack, successors(_h_state(h, shape[2]))))
+    _, pack, join, unpack, _ = _h_codec(*shape)
+    return list(map(unpack, _h_search(*shape)(join(pack(h)))))
 
 
 def _closure(start: int, successors, limit: int) -> set[int]:
@@ -202,8 +205,8 @@ def enumerate_orbit(h: HMatrix, limit: int = 200_000) -> set[HMatrix]:
     reachable set is the full orbit).  The search runs over one int per
     state."""
     shape = _shape(h)
-    unpack, successors = _h_search(*shape)
-    return set(map(unpack, _closure(_h_state(h, shape[2]), successors, limit)))
+    _, pack, join, unpack, _ = _h_codec(*shape)
+    return set(map(unpack, _closure(join(pack(h)), _h_search(*shape), limit)))
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ class ReductionResult:
     """The greedy normal form's invariants and its end state.
 
     state and shape (sphere-row count, Moore exponents, column count) hold
-    the end state packed as an orbit-search state; reduced unpacks it into
+    the end state packed as _h_codec lays it out; reduced unpacks it into
     an HMatrix on first read, since the pipeline reads only c1, c2 and
     consumed.
     """
@@ -224,14 +227,7 @@ class ReductionResult:
 
     @cached_property
     def reduced(self) -> HMatrix:
-        return _h_search(*self.shape)[0](self.state)
-
-
-@lru_cache(maxsize=64)
-def _claim_order(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Moore rows in the order they claim columns: by decreasing exponent,
-    ties by position."""
-    return tuple(sorted(range(len(exps)), key=exps.__getitem__, reverse=True))
+        return _h_codec(*self.shape)[3](self.state)
 
 
 def reduce_h_matrix(h: HMatrix) -> ReductionResult:
@@ -244,20 +240,22 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
     position), which keeps every clearing row-move legal; c2 counts the
     claimed pivots and `consumed` lists the claiming rows by original index.
 
-    Rows are packed as in the orbit search, so a row move is one XOR.  The
+    Rows are packed by the shape's codec, so a row move is one XOR.  The
     column moves that clear a pivot row change only the rows that hold the
     pivot bit: on a Moore row they and the row move of phase two add up to
     adding the whole pivot row, and in phase three the claiming row is the
     only row left holding its bit.
     """
-    shape = _shape(h)
-    d, exps, cols = shape
-    rows = _pack_rows(h)
+    d, _, cols = shape = _shape(h)
+    _, pack, join, _, claim = _h_codec(*shape)
+    rows = pack(h)
     n = len(rows)
 
     pivots: list[tuple[int, int]] = []
     unpivoted = list(range(d))
     for col in range(cols):
+        if not unpivoted:
+            break
         bit = 1 << col
         for pr in unpivoted:
             if rows[pr] & bit:
@@ -270,18 +268,18 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
             if i != pr and rows[i] & bit:
                 rows[i] ^= rows[pr]
     # a Moore row holding a pivot bit gains the rest of the pivot row by the
-    # column moves and loses the bit by a row move: it gains the pivot row
-    for j in range(d, n):
-        for pr, bit in pivots:
+    # column moves and loses the bit by a row move: it gains the pivot row (no
+    # pivot row holds another pivot's bit, so the pivots go one at a time)
+    for pr, bit in pivots:
+        for j in range(d, n):
             if rows[j] & bit:
                 rows[j] ^= rows[pr]
-    for pr, bit in pivots:
         rows[pr] = bit
 
     # no Moore row holds a claimed column, so its lowest bit is its lowest
     # free column
     consumed: list[int] = []
-    for j in _claim_order(tuple(exps)):
+    for j in claim:
         row = rows[d + j]
         if not row:
             continue
@@ -296,8 +294,7 @@ def reduce_h_matrix(h: HMatrix) -> ReductionResult:
         rows[d + j] = bit
 
     consumed.sort()
-    state = _join_rows(rows, cols)
-    return ReductionResult(len(pivots), len(consumed), tuple(consumed), state, shape)
+    return ReductionResult(len(pivots), len(consumed), tuple(consumed), join(rows), shape)
 
 
 # -- residual attaching vector ------------------------------------------------
@@ -419,23 +416,15 @@ def _b_transport(ck: int, rk: int, rj: int) -> int:
     return dz + 2 * de
 
 
-# A search state is one int: the x, y and w bits in that order from bit 0,
-# then two bits per Moore slot.
-
-
-def _phi_state(phi: PhiVector) -> int:
-    bits = phi.x + phi.y + phi.w
-    state = sum(compress([1 << i for i in range(len(bits))], bits))
-    return state + sum(int(c) << (len(bits) + 2 * j) for j, c in enumerate(phi.moore))
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _phi_search(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]):
     """The orbit search over vectors of a three-spheres, b four-spheres,
     Moore slots of exponents R and consumed pieces of exponents S, as
-    (unpack, successors).
+    (pack, unpack, successors).
 
-    unpack(state) is the PhiVector packed in state, through one memo of the
+    A search state is one int: the x, y and w bits in that order from bit
+    0, then two bits per Moore slot.  pack(phi) is the state of phi, and
+    unpack(state) the PhiVector packed in state, through one memo of the
     (x, y, w) bits and one of the Moore slots per shape.  successors(state)
     lists the states one elementary shear away, in the order of phi_moves.
 
@@ -498,6 +487,11 @@ def _phi_search(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]):
         moves += bits(p for p, s2 in zip(W, S) if p != i and s2 >= s)
         table.append((i, 1, ((), tuple(moves))))
     low = (1 << base) - 1
+    powers = [1 << p for p in range(base)]
+
+    def pack(phi: PhiVector) -> int:
+        state = sum(compress(powers, phi.x + phi.y + phi.w))
+        return state + sum(int(c) << m for c, m in zip(phi.moore, M))
 
     @lru_cache(maxsize=256)
     def xyw(m: int):
@@ -519,7 +513,7 @@ def _phi_search(a: int, b: int, R: tuple[int, ...], S: tuple[int, ...]):
             out += [s ^ k ^ (s2 & c) for k, c in by_value[(s >> position) & width]]
         return out
 
-    return unpack, successors
+    return pack, unpack, successors
 
 
 def phi_moves(phi: PhiVector) -> list[PhiVector]:
@@ -531,17 +525,17 @@ def phi_moves(phi: PhiVector) -> list[PhiVector]:
     Moore slots, B(chi) between Moore slots, and the xi-bar and i_P
     composites in and out of the consumed two-stage pieces.
     """
-    unpack, successors = _phi_search(
+    pack, unpack, successors = _phi_search(
         len(phi.x), len(phi.y), phi.moore_exponents, phi.consumed_exponents
     )
-    return list(map(unpack, successors(_phi_state(phi))))
+    return list(map(unpack, successors(pack(phi))))
 
 
 def enumerate_phi_orbit(phi: PhiVector, limit: int = 500_000) -> set[PhiVector]:
     """Closure of phi under elementary shears (again a full orbit: every
     move fixes its source component, so repeating it inverts it).  The
     search runs over one int per state."""
-    unpack, successors = _phi_search(
+    pack, unpack, successors = _phi_search(
         len(phi.x), len(phi.y), phi.moore_exponents, phi.consumed_exponents
     )
-    return set(map(unpack, _closure(_phi_state(phi), successors, limit)))
+    return set(map(unpack, _closure(pack(phi), successors, limit)))

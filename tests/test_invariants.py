@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import expand, random_descriptor
+from susp5 import invariants
 from susp5.abgroup import FgAbGroup, direct_sum
 from susp5.decompose import (
     ManifoldDescriptor,
@@ -221,6 +222,53 @@ def test_c2_beyond_l_minus_c1_is_rejected():
 def test_crosscheck_matches_closed_form(seed):
     d0 = random_descriptor(random.Random(seed), h1_primes=(5, 7))
     assert pi4_sigma_crosscheck(suspension_decomposition(d0)).group == pi3(d0)
+
+
+def pi3_bound_misses(rng, draws, **kw):
+    """The random descriptors whose pi3 leaves the bounds read from M's side.
+
+    dim M = 5, so pi3(M) = [M, P_5 S^3], and the two stages of the Postnikov
+    tower of S^3 give exact sequences of groups with H^3(M) = Z^d + T and
+    H^4(M; F2) of rank l.  The free rank is d and the odd torsion is T's;
+    the 2-part has order 2^e2 with e2 = l - c1 + (the sum of T's 2-primary
+    exponents) + eps.  The top class survives or not, so eps is 0 or 1 for
+    spin M; Sq^2 = w2 u kills it otherwise and may cut T's 2-part, so eps is
+    -1 or 0.  The bounds read l, d, T, spin and c1 only.
+    """
+    misses = []
+    for _ in range(draws):
+        m = random_descriptor(rng, **kw)
+        g, T = invariants.pi3(m), m.h2_torsion
+        eps = sum(g.primary_exponents(2)) - (m.l - m.c1 + sum(T.primary_exponents(2)))
+        odd = [[t for t in group.torsion if t[0] != 2] for group in (g, T)]
+        if g.free_rank != m.d or odd[0] != odd[1] or eps not in ((0, 1) if m.spin else (-1, 0)):
+            misses.append(m)
+    return misses
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_pi3_keeps_the_bounds_from_the_postnikov_tower(seed):
+    assert pi3_bound_misses(random.Random(seed), 2000) == []
+
+
+def test_pi3_bounds_catch_a_fault_both_routes_share(monkeypatch):
+    """Both pi3 routes lose the Z/2 of every surviving five-sphere: the
+    closed form drops its l - c1 - c2 term, and maps from S^5 to S^4 read 0.
+    The crosscheck still agrees, and the bounds fail."""
+    closed_form, table = invariants.pi3, invariants.maps_to_s4
+
+    def planted(m):
+        g = closed_form(m)
+        twos = [i for i, t in enumerate(g.torsion) if t == (2, 1)]
+        return g.drop_torsion_summands(twos[: m.l - m.c1 - m.c2])
+
+    monkeypatch.setattr(invariants, "pi3", planted)
+    monkeypatch.setattr(
+        invariants, "maps_to_s4", lambda s: (G("0"), False) if s == sphere(5) else table(s)
+    )
+    misses = pi3_bound_misses(random.Random(3), 2000, h1_primes=(5, 7))
+    assert misses
+    assert pi4_sigma_crosscheck(suspension_decomposition(misses[0])).group == planted(misses[0])
 
 
 @settings(max_examples=100, deadline=None)

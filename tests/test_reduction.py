@@ -328,6 +328,38 @@ def test_one_search_record_per_matrix_shape():
     assert reduction._h_search.cache_info().misses == 1
 
 
+def test_the_reduced_form_builds_no_search_record():
+    # .reduced unpacks through the shape's codec, not the move table
+    rng = random.Random(64)
+    rows = [[int(rng.random() < 0.03) for _ in range(64)] for _ in range(72)]
+    h = H(rows[:64], rows[64:], [rng.randint(1, 3) for _ in range(8)])
+    reduction._h_search.cache_clear()
+    res = reduce_h_matrix(h)
+    form = res.reduced
+    assert reduction._h_search.cache_info().misses == 0
+    assert (len(form.sphere_rows), form.num_columns) == (64, 64)
+    assert form.moore_exponents == h.moore_exponents
+    again = reduce_h_matrix(form)
+    assert (again.c1, again.c2, again.consumed) == (res.c1, res.c2, res.consumed)
+    assert (res.c1, res.c2, res.consumed) == (53, 7, (0, 1, 2, 3, 4, 5, 7))
+    assert (again.state, again.reduced) == (res.state, form)
+    assert flag_dimensions(form) == flag_dimensions(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rows_pack_alike_at_every_width(data):
+    # an entry sets its bit when it is true, in a tuple or in a list
+    cols = data.draw(st.integers(1, 64))
+    d = data.draw(st.integers(0, 4))
+    exps = tuple(data.draw(st.lists(st.integers(1, 3), max_size=4)))
+    row = st.lists(st.sampled_from([0, 1, True, 1.0]), min_size=cols, max_size=cols)
+    given_rows = [data.draw(st.one_of(row, row.map(tuple))) for _ in range(d + len(exps))]
+    int_rows = [tuple(map(int, r)) for r in given_rows]
+    res = reduce_h_matrix(HMatrix(tuple(given_rows[:d]), tuple(given_rows[d:]), exps))
+    assert res == reduce_h_matrix(H(int_rows[:d], int_rows[d:], exps))
+
+
 # -- residual attaching vector ------------------------------------------------
 
 
